@@ -18,7 +18,8 @@
 //! documents matchless without touching a node, and inside the rare
 //! documents the candidate range excludes every `article` subtree. The
 //! group report carries a measured `pruned_vs_warm` pair on that query
-//! (acceptance floor: ≥ 2×), plus the store's load throughput.
+//! (acceptance floor: ≥ 2×), plus the store's load throughput and its
+//! image size per node.
 
 use std::time::Instant;
 
@@ -157,6 +158,16 @@ fn main() {
             ("warm_median_ns", Json::Num(warm_ns)),
             ("indexed_median_ns", Json::Num(indexed_ns)),
             ("speedup", Json::Num(speedup)),
+        ]),
+    );
+    group.attach_extra(
+        "image",
+        Json::obj([
+            ("bytes", Json::Num(bytes.len() as f64)),
+            (
+                "bytes_per_node",
+                Json::Num(bytes.len() as f64 / total_nodes as f64),
+            ),
         ]),
     );
     assert!(

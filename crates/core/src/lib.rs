@@ -80,5 +80,5 @@ pub use phr_compile::CompiledPhr;
 pub use plan::{Plan, PlanCache, PlanFacts, SharedPlanCache};
 pub use query::{CompiledSelect, SelectQuery, SelectScratch};
 pub use schema::{transform_select, SelectionSchema};
-pub use two_pass::{EvalMode, EvalOutcome, EvalScratch, PruneInfo};
+pub use two_pass::{subtree_ends, EvalMode, EvalOutcome, EvalScratch, PruneInfo};
 pub mod ambiguity;

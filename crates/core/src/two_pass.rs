@@ -573,8 +573,8 @@ fn exists_core(
 /// nodes (every node whose label is in [`CompiledPhr::match_syms`] — in a
 /// store, the union of those symbols' postings) and the preorder subtree
 /// extents (`subtree_end[n]` is one past the last descendant of `n`, so
-/// the descendants-of-`n` question is the single range `n..subtree_end[n]`
-/// — the materialized form of the sortable-path range `P0..PZW`).
+/// the descendants-of-`n` question is the single range `n..subtree_end[n]`;
+/// [`subtree_ends`] computes it).
 ///
 /// [`eval_pruned_into`] only ever *skips* work based on this data, and
 /// only subtrees containing no candidate, so a sound over-approximation in
@@ -584,6 +584,22 @@ pub struct PruneInfo<'a> {
     pub candidates: &'a [NodeId],
     /// `subtree_end[n]` = one past the last preorder descendant of `n`.
     pub subtree_end: &'a [NodeId],
+}
+
+/// The preorder subtree extents of `h`: `end[n]` is one past the last
+/// descendant of `n`. In preorder a subtree is the contiguous range
+/// `n..end[n]`, and its end is the largest end among `n` and its
+/// children, so one reverse sweep that folds each node's end into its
+/// parent's computes every extent in O(n).
+pub fn subtree_ends(h: &FlatHedge) -> Vec<NodeId> {
+    let n = h.num_nodes();
+    let mut end: Vec<NodeId> = (1..=n as NodeId).collect();
+    for id in (0..n as NodeId).rev() {
+        if let Some(p) = h.parent(id) {
+            end[p as usize] = end[p as usize].max(end[id as usize]);
+        }
+    }
+    end
 }
 
 impl PruneInfo<'_> {
@@ -910,19 +926,6 @@ mod tests {
         assert!(!exists(&compiled, &f));
         assert_eq!(count(&compiled, &f), 0);
         assert!(locate(&compiled, &f).is_empty());
-    }
-
-    /// Preorder subtree extents by reverse max-propagation (what a store
-    /// index materializes from the sortable paths).
-    fn subtree_ends(h: &FlatHedge) -> Vec<NodeId> {
-        let n = h.num_nodes();
-        let mut end: Vec<NodeId> = (1..=n as NodeId).collect();
-        for id in (0..n as NodeId).rev() {
-            if let Some(p) = h.parent(id) {
-                end[p as usize] = end[p as usize].max(end[id as usize]);
-            }
-        }
-        end
     }
 
     #[test]

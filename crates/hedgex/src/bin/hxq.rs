@@ -15,7 +15,7 @@
 //!                                                     # O(depth) memory
 //! hxq check '[…;figure;…]' --schema HRE               # static analysis,
 //!                                                     # no document at all
-//! hxq index corpus/ --out corpus.hxst                 # parse + index once
+//! hxq index corpus/ --out corpus.hxst                 # parse once
 //! hxq --store corpus.hxst --path '…'                  # indexed, pruned
 //!                                                     # queries over it all
 //! ```
@@ -117,8 +117,9 @@ static analysis (no document involved):
 
 persistent corpora:
   hxq index DIR --out STORE [--attrs]
-    parse every *.xml file in DIR (sorted by name) and write a versioned,
-    checksummed store with a per-document structural index to STORE
+    parse every *.xml file in DIR (sorted by name) and write them to STORE
+    as one versioned, checksummed store; '--store' rebuilds each
+    document's structural index when it loads STORE
   exit code: 0 ok, 1 i/o or parse error, 2 usage error";
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -1092,7 +1093,7 @@ fn parse_index_args(mut it: impl Iterator<Item = String>) -> Result<IndexArgs, E
 
 /// `hxq index DIR --out STORE`: the parse-once half of the store workflow.
 /// Every `*.xml` under DIR (sorted by name, so stores are reproducible) is
-/// parsed against one shared alphabet, indexed, and written out.
+/// parsed against one shared alphabet and written out.
 fn run_index(args: IndexArgs) -> Result<ExitCode, String> {
     let entries = std::fs::read_dir(&args.dir).map_err(|e| format!("{}: {e}", args.dir))?;
     let mut files: Vec<(String, std::path::PathBuf)> = Vec::new();

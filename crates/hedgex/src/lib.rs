@@ -20,7 +20,7 @@
 //! * [`stream`] — push-based streaming evaluation: answer queries during
 //!   the XML parse with memory bounded by document depth;
 //! * [`store`] — persistent document corpora: versioned, checksummed
-//!   on-disk stores with a sortable-path structural index and
+//!   on-disk stores with a structural index rebuilt at load and
 //!   index-pruned query evaluation.
 //!
 //! See `examples/quickstart.rs` for a guided tour, and the `hedgex-core`

@@ -12,12 +12,11 @@
 //!   at load. The file format is versioned and checksummed; loading
 //!   truncated or corrupted bytes returns a typed [`StoreError`] with a
 //!   byte-accurate position — never a panic.
-//! * [`StructIndex`] — per stored document: a compact *sortable path* per
-//!   node (base32 child indices with `W/X/Y/Z` length escapes, so
-//!   lexicographic order over paths equals preorder and "descendants of
-//!   `P`" is the single range `P0..PZW`), per-symbol postings
-//!   (`SymId` → sorted preorder node ids), and the materialized subtree
-//!   extents those paths induce.
+//! * [`StructIndex`] — per stored document: per-symbol postings
+//!   (`SymId` → sorted preorder node ids) and the preorder subtree
+//!   extents (`subtree_end[n]` is one past `n`'s last descendant). The
+//!   index is never stored: it is rebuilt from the validated document in
+//!   O(n) at build and at load (a counting sort and one reverse sweep).
 //! * [`StoreQuery`] — index-pruned evaluation: a plan's required symbols
 //!   are checked against postings emptiness (O(1) per document instead of
 //!   a label scan), the candidate set is the union of the
@@ -36,7 +35,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod path;
 pub mod query;
 pub mod store;
 

@@ -51,6 +51,11 @@ echo "== cargo test -q --offline --no-default-features (store fuzz) =="
 # The loader's typed, positioned errors are independent of instrumentation.
 cargo test -q --offline --no-default-features -p hedgex --test store_fuzz
 
+echo "== cargo test -q --offline (perfbench) =="
+# The end-to-end benchmark builds against the workspace crates by path;
+# building and testing it here catches public-API changes that break it.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy --offline --all-targets -- -D warnings =="
 cargo clippy -q --offline --all-targets -- -D warnings
 

@@ -933,6 +933,24 @@ fn store_runtime_errors_exit_1_with_one_line_diagnostics() {
     assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
     assert!(err.contains("byte"), "loader position missing: {err}");
 
+    // A store written by an older format version is rejected, and the
+    // diagnostic says how to get a readable one.
+    let (dir, store) = indexed_corpus("v1");
+    let mut image = std::fs::read(&store).unwrap();
+    image[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&store, &image).unwrap();
+    let out = hxq(&["--store", store.to_str().unwrap(), "--path", "r a b"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+    assert!(
+        err.contains("unsupported store version 1 at byte 4"),
+        "{err}"
+    );
+    assert!(err.contains("rebuild the store with `hxq index`"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&store).ok();
+
     // `index` over a directory with no *.xml files is a runtime error.
     let empty = scratch("empty-corpus");
     std::fs::create_dir_all(&empty).unwrap();

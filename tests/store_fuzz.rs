@@ -3,13 +3,14 @@
 //! suite holds it to the same standard as the XML parsers — on every
 //! mutilated store image it must return a *typed* error at a byte-accurate
 //! offset, and it must never panic, never allocate absurdly, and never
-//! hand back a store that disagrees with its own index. Corruption that
-//! keeps the checksum valid (the "resealed" class, a liar that did the
-//! arithmetic) must still be caught by the structural validators behind
-//! it.
+//! hand back a document that is not a valid preorder forest over the
+//! stored alphabet. The image holds only the documents (the structural
+//! index is rebuilt on load), so corruption that keeps the checksum valid
+//! (the "resealed" class, a liar that did the arithmetic) must be caught
+//! by the alphabet and node-record validators behind it.
 
 use hedgex::prelude::*;
-use hedgex::store::store::{fnv1a_bytes, HEADER_LEN, MAGIC};
+use hedgex::store::store::{fnv1a_bytes, HEADER_LEN, MAGIC, VERSION};
 use hedgex_testkit::{forall, prop_assert, Config, Gen};
 
 // ---------------------------------------------------------------------------
@@ -207,6 +208,25 @@ fn pinned_hostile_images_fail_identically() {
         })
     ));
 
+    // A version-1 image (it stored paths and postings): rejected at byte
+    // 4, with a one-line diagnostic that says how to get a readable store.
+    assert_eq!(VERSION, 2);
+    let mut bad = seed.clone();
+    bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+    match DocumentStore::from_bytes(&bad) {
+        Err(
+            e @ StoreError::UnsupportedVersion {
+                offset: 4,
+                found: 1,
+            },
+        ) => {
+            let msg = e.to_string();
+            assert!(!msg.contains('\n'), "one line: {msg:?}");
+            assert!(msg.contains("rebuild the store with `hxq index`"), "{msg}");
+        }
+        other => panic!("v1 image: expected UnsupportedVersion, got {other:?}"),
+    }
+
     // Payload shorter than declared: LengthMismatch at byte 8.
     let mut bad = seed.clone();
     bad.truncate(seed.len() - 3);
@@ -245,5 +265,42 @@ fn pinned_hostile_images_fail_identically() {
         // The guard fires right after the count field is consumed.
         Err(StoreError::Truncated { offset, .. }) => assert_eq!(offset, HEADER_LEN + 4),
         other => panic!("count bomb: expected Truncated, got {other:?}"),
+    }
+
+    // Node-record errors point at the offending record, not at the start
+    // of the block. The image is one document `a a<a>` named `d` over the
+    // alphabet {a}: header (24), symbol table (4 + 4 + 1), empty variable
+    // and substitution tables (4 + 4), doc count (4), name (4 + 1) and
+    // node count (4) put the records at byte 54, 9 bytes each.
+    let mut ab = Alphabet::new();
+    let doc = FlatHedge::from_hedge(&parse_hedge("a a<a>", &mut ab).unwrap());
+    let seed = DocumentStore::build(ab, vec![("d".to_string(), doc)]).to_bytes();
+    let nodes_off = 54;
+    let record = |i: usize| nodes_off + 9 * i;
+    assert_eq!(seed.len(), record(3), "layout arithmetic is stale");
+    assert_eq!(seed[record(2) + 5..record(3)], 1u32.to_le_bytes());
+
+    // Record 2's label resealed to symbol 7 of a one-symbol alphabet.
+    let mut bad = seed.clone();
+    bad[record(2) + 1..record(2) + 5].copy_from_slice(&7u32.to_le_bytes());
+    reseal(&mut bad);
+    match DocumentStore::from_bytes(&bad) {
+        Err(StoreError::Corrupt { offset, what }) => {
+            assert_eq!(offset, record(2), "{what}");
+            assert!(what.contains("out of the alphabet's range"), "{what}");
+        }
+        other => panic!("label out of range: expected Corrupt, got {other:?}"),
+    }
+
+    // Record 1's parent resealed to point forward, at record 2.
+    let mut bad = seed.clone();
+    bad[record(1) + 5..record(2)].copy_from_slice(&2u32.to_le_bytes());
+    reseal(&mut bad);
+    match DocumentStore::from_bytes(&bad) {
+        Err(StoreError::Corrupt { offset, what }) => {
+            assert_eq!(offset, record(1), "{what}");
+            assert!(what.contains("preorder forest"), "{what}");
+        }
+        other => panic!("forward parent: expected Corrupt, got {other:?}"),
     }
 }

@@ -148,8 +148,9 @@ fn plan_pool() -> Vec<Plan> {
 // ---------------------------------------------------------------------------
 
 /// Serialization is the identity: build → bytes → load compares equal on
-/// every field (documents, names, alphabet, postings, paths, subtree
-/// ends), and the reload survives a second round trip byte-identically.
+/// every field (documents, names, alphabet, and the postings and subtree
+/// ends that load rebuilds from the documents), and the reload survives a
+/// second round trip byte-identically.
 #[test]
 fn store_round_trips_through_bytes_on_random_corpora() {
     let ab = base_alphabet();
@@ -260,6 +261,32 @@ fn indexed_evaluation_agrees_with_plain_evaluation() {
                         sym
                     );
                 }
+                // Subtree extents against an ancestor walk: the subtree of
+                // `n` ends at the first later node that `n` is not an
+                // ancestor of.
+                let descends = |d: u32, n: u32| {
+                    let mut a = Some(d);
+                    while let Some(x) = a {
+                        if x == n {
+                            return true;
+                        }
+                        a = h.parent(x);
+                    }
+                    false
+                };
+                let ground: Vec<u32> = (0..h.num_nodes() as u32)
+                    .map(|n| {
+                        (n + 1..h.num_nodes() as u32)
+                            .find(|&d| !descends(d, n))
+                            .unwrap_or(h.num_nodes() as u32)
+                    })
+                    .collect();
+                prop_assert_eq!(
+                    doc.index().subtree_end(),
+                    &ground[..],
+                    "subtree ends of {:?}",
+                    doc.name()
+                );
             }
             Ok(())
         },
