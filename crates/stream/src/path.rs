@@ -200,6 +200,37 @@ mod tests {
     }
 
     #[test]
+    fn paths_sort_in_preorder_and_ranges_equal_subtrees() {
+        // `(a|b)* (a|b)` locates every node, so the streamed Dewey paths
+        // cover the whole document.
+        let mut ab = Alphabet::new();
+        let path = parse_path("(a|b)* (a|b)", &mut ab).unwrap();
+        let h = parse_hedge("b a<a<b> b> a<b b<a a>>", &mut ab).unwrap();
+        let flat = FlatHedge::from_hedge(&h);
+        let mut sink = PathStream::new(&path, &ab).collect_deweys(true);
+        assert!(replay_flat(&flat, &mut sink));
+        let n = flat.num_nodes();
+        assert_eq!(sink.finish(), (0..n as NodeId).collect::<Vec<_>>());
+        let deweys = sink.deweys();
+        // Property 1: preorder is already lexicographic Dewey order.
+        for w in deweys.windows(2) {
+            assert!(w[0] < w[1], "paths out of order: {:?} !< {:?}", w[0], w[1]);
+        }
+        // Property 2: the run of paths extending a node's path is exactly
+        // its preorder subtree range `id+1..subtree_end[id]`.
+        let end = hedgex_core::subtree_ends(&flat);
+        for id in 0..n {
+            let prefix = &deweys[id];
+            let mut hi = id + 1;
+            while hi < n && deweys[hi].starts_with(prefix) {
+                hi += 1;
+            }
+            assert_eq!(hi as NodeId, end[id], "descendants of {id} end");
+            assert!(deweys[hi..].iter().all(|d| !d.starts_with(prefix)));
+        }
+    }
+
+    #[test]
     fn symbols_interned_after_compile_take_the_cofinite_edge() {
         let mut ab = Alphabet::new();
         let path = parse_path("a b", &mut ab).unwrap();
