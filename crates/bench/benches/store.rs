@@ -11,6 +11,14 @@
 //!   required-symbol check in O(1), and the two-pass traversal visits only
 //!   the ancestors-closure of candidate ranges.
 //!
+//! The indexed rows come in two engines: `indexed_*` run the path's
+//! universal PHR embedding as a [`Plan`] (the general machinery), and
+//! `indexed_path_*` run the path on its [`CompiledPath`] — Section 8's
+//! top-down DFA, the engine `hxq --store --path` uses. The
+//! `compile_store_path` / `compile_store_path_as_phr` pair prices the two
+//! compiles over the store's alphabet: the per-request cost that decides
+//! `hxq --store --path` latency.
+//!
 //! On the *broad* query (figures inside sections — most documents match)
 //! the index can't skip much and indexed ≈ warm: the point of that row is
 //! that pruning never costs. The headline is the *selective* query: 5% of
@@ -26,7 +34,7 @@ use std::time::Instant;
 use hedgex_testkit::{Bench, Json, Throughput};
 
 use hedgex_bench::sidebar_corpus;
-use hedgex_core::{parse_path, EvalScratch, Plan, PlanFacts};
+use hedgex_core::{parse_path, CompiledPath, EvalScratch, PathExpr, Plan, PlanFacts, Query};
 use hedgex_hedge::{Alphabet, FlatHedge};
 use hedgex_store::{DocumentStore, StoreQuery};
 use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
@@ -44,11 +52,10 @@ fn median_ns(k: usize, mut f: impl FnMut()) -> f64 {
     samples[k / 2] as f64
 }
 
-/// Compile a path query the way `hxq --store` does: universal PHR
+/// Compile a path query through the general machinery: universal PHR
 /// embedding for evaluation, structural required-symbol facts for the
 /// postings quick-reject.
-fn store_plan(src: &str, ab: &mut Alphabet) -> Plan {
-    let path = parse_path(src, ab).expect("bench path parses");
+fn store_plan(path: &PathExpr, ab: &mut Alphabet) -> Plan {
     let facts = PlanFacts {
         known_empty: false,
         why_empty: None,
@@ -64,7 +71,7 @@ fn warm_count(plan: &Plan, docs: &[FlatHedge], scratch: &mut EvalScratch) -> u64
     docs.iter().map(|d| plan.count_into(d, scratch)).sum()
 }
 
-fn indexed_count(query: &StoreQuery<'_>) -> u64 {
+fn indexed_count<Q: Query>(query: &StoreQuery<'_, Q>) -> u64 {
     query.count_corpus(1).iter().sum()
 }
 
@@ -80,18 +87,30 @@ fn main() {
     let sources: Vec<String> = docs.iter().map(|d| write_xml(d, &ab, None)).collect();
     let total_nodes = store.total_nodes();
 
-    let broad = store_plan("article section* figure", &mut ab);
-    let selective = store_plan("sidebar", &mut ab);
+    let broad_path = parse_path("article section* figure", &mut ab).expect("bench path parses");
+    let selective_path = parse_path("sidebar", &mut ab).expect("bench path parses");
+    // The store's alphabet, as `hxq --store` parses against it.
+    let store_ab = ab.clone();
+    let broad = store_plan(&broad_path, &mut ab);
+    let selective = store_plan(&selective_path, &mut ab);
     let broad_q = StoreQuery::new(&store, &broad);
     let selective_q = StoreQuery::new(&store, &selective);
+    let broad_dfa = CompiledPath::compile(&broad_path, &store_ab);
+    let selective_dfa = CompiledPath::compile(&selective_path, &store_ab);
+    let broad_path_q = StoreQuery::new(&store, &broad_dfa);
+    let selective_path_q = StoreQuery::new(&store, &selective_dfa);
 
-    // Correctness before time: the three routes must agree, and the
-    // selective query must really be selective (one sidebar per rare doc).
+    // Correctness before time: every route must agree, and the selective
+    // query must really be selective (one sidebar per rare doc).
     let mut scratch = EvalScratch::new();
     let broad_want = warm_count(&broad, &docs, &mut scratch);
     assert!(broad_want > 0, "broad query must match the corpus");
     assert_eq!(indexed_count(&broad_q), broad_want);
+    assert_eq!(indexed_count(&broad_path_q), broad_want);
+    let direct: usize = docs.iter().map(|d| broad_path.locate(d).len()).sum();
+    assert_eq!(direct as u64, broad_want);
     assert_eq!(indexed_count(&selective_q), rare_docs as u64);
+    assert_eq!(indexed_count(&selective_path_q), rare_docs as u64);
     assert_eq!(
         warm_count(&selective, &docs, &mut scratch),
         rare_docs as u64
@@ -134,6 +153,18 @@ fn main() {
     });
     group.bench_function("indexed_count_selective", |b| {
         b.iter(|| std::hint::black_box(indexed_count(&selective_q)))
+    });
+    group.bench_function("indexed_path_count_broad", |b| {
+        b.iter(|| std::hint::black_box(indexed_count(&broad_path_q)))
+    });
+    group.bench_function("indexed_path_count_selective", |b| {
+        b.iter(|| std::hint::black_box(indexed_count(&selective_path_q)))
+    });
+    group.bench_function("compile_store_path", |b| {
+        b.iter(|| std::hint::black_box(CompiledPath::compile(&broad_path, &store_ab)))
+    });
+    group.bench_function("compile_store_path_as_phr", |b| {
+        b.iter(|| std::hint::black_box(store_plan(&broad_path, &mut store_ab.clone())))
     });
     group.bench_function("load_store", |b| {
         b.iter(|| std::hint::black_box(DocumentStore::from_bytes(&bytes).expect("loads").len()))

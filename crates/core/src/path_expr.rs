@@ -9,22 +9,26 @@
 //! alphabet, and the match-identifying automaton shrinks to
 //! `(S × Σ) ∪ {⊥}` states.
 //!
-//! This module provides the direct evaluator (one top-down traversal), the
-//! embedding into PHRs (for the E8 ablation benchmark), and the simplified
-//! match-identifying NHA.
+//! This module provides the path engine [`CompiledPath`] (one top-down DFA,
+//! every evaluation mode, index pruning), the embedding into PHRs (for
+//! reports that describe the PHR pipeline and for the E8 ablation
+//! benchmark), and the simplified match-identifying NHA.
 //!
 //! Concrete syntax: HRE-style regex over names, e.g. `sec* fig`,
 //! `(chap|app) sec fig?`.
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{CharClass, DenseDfa, Dfa, Nfa, Regex};
+use hedgex_automata::{CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
 use hedgex_ha::{HState, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
+use hedgex_obs as obs;
 
 use crate::hre::{Hre, HreParseError};
 use crate::phr::{Pbhr, Phr};
+use crate::plan::Query;
+use crate::two_pass::{EvalMode, EvalOutcome, EvalScratch, PruneInfo};
 
 /// A classical path expression: a regular expression over Σ, read from the
 /// root down to the located node (inclusive).
@@ -37,37 +41,13 @@ pub struct PathExpr {
 impl PathExpr {
     /// Locate all matching nodes with a single top-down traversal: a node
     /// is located iff the DFA accepts the label path from its top-level
-    /// ancestor down to itself.
+    /// ancestor down to itself. Compiles a [`CompiledPath`] per call; to
+    /// run one query over many documents, compile it once and use
+    /// [`Query::eval_into`].
     pub fn locate(&self, h: &FlatHedge) -> Vec<NodeId> {
-        let dfa = Nfa::from_regex(&self.regex).to_dfa();
-        // Compile against the labels that actually occur.
-        let mut labels: Vec<SymId> = h
-            .preorder()
-            .filter_map(|n| match h.label(n) {
-                FlatLabel::Sym(a) => Some(a),
-                _ => None,
-            })
-            .collect();
-        labels.sort();
-        labels.dedup();
-        let dense = DenseDfa::compile(&dfa, &labels);
-        let mut located = Vec::new();
-        let mut state: Vec<u32> = vec![0; h.num_nodes()];
-        for n in h.preorder() {
-            let FlatLabel::Sym(a) = h.label(n) else {
-                continue;
-            };
-            let from = match h.parent(n) {
-                None => dense.start(),
-                Some(p) => state[p as usize],
-            };
-            let s = dense.step(from, &a);
-            state[n as usize] = s;
-            if dense.is_accepting(s) {
-                located.push(n);
-            }
-        }
-        located
+        let mut scratch = EvalScratch::new();
+        CompiledPath::with_columns(self, 0).eval_into(h, &mut scratch, EvalMode::Locate);
+        scratch.located
     }
 
     /// Embed into a pointed hedge representation with universal sibling
@@ -186,6 +166,201 @@ impl PathExpr {
         PathMarkUp {
             nha: Nha::from_parts(num_states, iota, rules, finals),
             marked,
+        }
+    }
+}
+
+/// A path expression compiled once for evaluation: Section 8's single
+/// top-down DFA over Σ, as a dense `state × SymId` table, plus the prune
+/// facts the path itself proves. It evaluates in every [`EvalMode`],
+/// plain or index-pruned ([`Query`]), and is the only path compiler:
+/// [`PathExpr::locate`] and the streaming `PathStream` step the same
+/// table.
+///
+/// A node's state is the DFA run on the labels from its top-level
+/// ancestor down to itself; the node matches iff that state accepts. A
+/// subtree under a state from which no accepting state is reachable is
+/// never visited.
+#[derive(Debug, Clone)]
+pub struct CompiledPath {
+    dense: DenseDfa<SymId>,
+    /// Symbols `SymId(0..columns)` have their own table column; any later
+    /// symbol takes the co-finite edge.
+    columns: usize,
+    /// `live[q]`: some accepting state is reachable from `q`.
+    live: Vec<bool>,
+    /// `None` when the path denotes no paths at all (nothing can match).
+    required_syms: Option<Vec<SymId>>,
+    match_syms: Option<Vec<SymId>>,
+}
+
+impl CompiledPath {
+    /// Compile `path` with a table column for every symbol interned in
+    /// `ab` so far. Symbols interned later take the DFA's co-finite edge,
+    /// which is exactly the transition a name the path never mentions
+    /// deserves.
+    pub fn compile(path: &PathExpr, ab: &Alphabet) -> CompiledPath {
+        CompiledPath::with_columns(path, ab.num_syms())
+    }
+
+    /// NFA → DFA → dense table with at least `columns` symbol columns (and
+    /// always one for every symbol the path mentions).
+    pub(crate) fn with_columns(path: &PathExpr, columns: usize) -> CompiledPath {
+        let _span = obs::span("core.path.compile");
+        let nfa = Nfa::from_regex(&path.regex);
+        let columns = nfa
+            .mentioned_symbols()
+            .last()
+            .map_or(columns, |a| columns.max(a.0 as usize + 1));
+        let syms: Vec<SymId> = (0..columns as u32).map(SymId).collect();
+        let dense = DenseDfa::compile(&nfa.to_dfa(), &syms);
+        let n = dense.num_states();
+        // Backward reachability from the accepting states over every
+        // column, the co-finite one included.
+        let mut live: Vec<bool> = (0..n as StateId).map(|q| dense.is_accepting(q)).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for q in 0..n {
+                if !live[q] && (0..=columns).any(|i| live[dense.step_idx(q as StateId, i) as usize])
+                {
+                    live[q] = true;
+                    changed = true;
+                }
+            }
+        }
+        // A label can match iff it takes some live state to an accepting
+        // one; if the co-finite column can, unnamed symbols can match too
+        // and no finite list bounds the matches.
+        let accepts_via = |i: usize| {
+            (0..n as StateId).any(|q| live[q as usize] && dense.is_accepting(dense.step_idx(q, i)))
+        };
+        let match_syms = (!accepts_via(columns)).then(|| {
+            (0..columns)
+                .filter(|&i| accepts_via(i))
+                .map(|i| SymId(i as u32))
+                .collect()
+        });
+        CompiledPath {
+            dense,
+            columns,
+            live,
+            required_syms: path.required_syms(),
+            match_syms,
+        }
+    }
+
+    /// The state before the top-level nodes.
+    pub fn start(&self) -> StateId {
+        self.dense.start()
+    }
+
+    /// The state of a child labelled `a` under a node in state `q`.
+    #[inline]
+    pub fn step(&self, q: StateId, a: SymId) -> StateId {
+        self.dense.step_idx(q, (a.0 as usize).min(self.columns))
+    }
+
+    /// Does a node in state `q` match?
+    #[inline]
+    pub fn is_accepting(&self, q: StateId) -> bool {
+        self.dense.is_accepting(q)
+    }
+
+    /// The one traversal behind every mode: a preorder depth-first search
+    /// that steps the DFA once per visited `Σ` node and never enters a
+    /// subtree whose state is dead. With `prune`, it also skips every
+    /// subtree whose preorder range holds no candidate; since visited ids
+    /// only grow, one forward cursor over the sorted candidates answers
+    /// that test in amortized O(1). Returns the outcome and the number of
+    /// subtrees the index pruned.
+    fn run(
+        &self,
+        h: &FlatHedge,
+        prune: Option<&PruneInfo<'_>>,
+        scratch: &mut EvalScratch,
+        mode: EvalMode,
+    ) -> (EvalOutcome, u64) {
+        let _span = obs::span("core.path.eval");
+        let EvalScratch { stack, located, .. } = scratch;
+        located.clear();
+        if self.required_syms.is_none() {
+            return (EvalOutcome::empty(mode), 0);
+        }
+        stack.clear();
+        if let Some(&first) = h.roots().first() {
+            stack.push((first, self.start()));
+        }
+        let (mut count, mut skipped, mut cursor) = (0u64, 0u64, 0usize);
+        while let Some((id, from)) = stack.pop() {
+            // The younger sibling shares the parent's state; pushing it
+            // before the first child keeps the search in preorder.
+            if let Some(next) = h.next_sibling(id) {
+                stack.push((next, from));
+            }
+            if let Some(p) = prune {
+                let c = p.candidates;
+                while cursor < c.len() && c[cursor] < id {
+                    cursor += 1;
+                }
+                if !matches!(c.get(cursor), Some(&n) if n < p.subtree_end[id as usize]) {
+                    skipped += 1;
+                    continue;
+                }
+            }
+            let FlatLabel::Sym(a) = h.label(id) else {
+                continue;
+            };
+            let s = self.step(from, a);
+            if self.is_accepting(s) {
+                match mode {
+                    EvalMode::Locate => located.push(id),
+                    EvalMode::Count => count += 1,
+                    EvalMode::Exists => return (EvalOutcome::Exists(true), skipped),
+                }
+            }
+            if self.live[s as usize] {
+                if let Some(child) = h.first_child(id) {
+                    stack.push((child, s));
+                }
+            }
+        }
+        let outcome = match mode {
+            EvalMode::Locate => EvalOutcome::Located(located.len()),
+            EvalMode::Count => EvalOutcome::Count(count),
+            EvalMode::Exists => EvalOutcome::Exists(false),
+        };
+        (outcome, skipped)
+    }
+}
+
+impl Query for CompiledPath {
+    fn eval_into(&self, h: &FlatHedge, scratch: &mut EvalScratch, mode: EvalMode) -> EvalOutcome {
+        self.run(h, None, scratch, mode).0
+    }
+
+    fn eval_pruned_into(
+        &self,
+        h: &FlatHedge,
+        prune: &PruneInfo<'_>,
+        scratch: &mut EvalScratch,
+        mode: EvalMode,
+    ) -> (EvalOutcome, u64) {
+        debug_assert_eq!(prune.subtree_end.len(), h.num_nodes());
+        self.run(h, Some(prune), scratch, mode)
+    }
+
+    /// The labels that take some live state to an accepting one.
+    fn match_syms(&self) -> Option<Vec<SymId>> {
+        self.match_syms.clone()
+    }
+
+    /// Checks [`PathExpr::required_syms`]; a path denoting no paths
+    /// requires everything.
+    fn missing_required_sym(&self, has_sym: impl Fn(SymId) -> bool) -> bool {
+        match &self.required_syms {
+            Some(req) => req.iter().any(|&a| !has_sym(a)),
+            None => true,
         }
     }
 }
@@ -334,7 +509,7 @@ mod tests {
     use crate::phr_compile::CompiledPhr;
     use crate::two_pass;
     use hedgex_ha::enumerate::enumerate_hedges;
-    use hedgex_hedge::parse_hedge;
+    use hedgex_hedge::{parse_hedge, Hedge, Tree};
 
     #[test]
     fn paper_intro_example() {
@@ -346,6 +521,74 @@ mod tests {
         // Nodes: 0 sec, 1 fig✓, 2 sec, 3 fig✓, 4 par, 5 fig✓(top), 6 par,
         // 7 fig✗ (under par).
         assert_eq!(p.locate(&f), vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn compiled_path_prune_facts_come_from_the_path() {
+        let mut ab = Alphabet::new();
+        let p = parse_path("a b* c", &mut ab).unwrap();
+        let (a, b, c) = (ab.sym("a"), ab.sym("b"), ab.sym("c"));
+        let cp = CompiledPath::compile(&p, &ab);
+        assert_eq!(cp.match_syms(), Some(vec![c]), "only a c can match");
+        assert!(!cp.missing_required_sym(|s| s == a || s == c));
+        assert!(cp.missing_required_sym(|s| s == a || s == b));
+        // A path denoting nothing requires everything and matches nowhere.
+        let empty = CompiledPath::compile(
+            &PathExpr {
+                regex: Regex::Empty,
+            },
+            &ab,
+        );
+        assert!(empty.missing_required_sym(|_| true));
+        let h = parse_hedge("a<c>", &mut ab).unwrap();
+        let f = FlatHedge::from_hedge(&h);
+        let mut scratch = EvalScratch::new();
+        assert_eq!(
+            empty.eval_into(&f, &mut scratch, EvalMode::Count),
+            EvalOutcome::Count(0)
+        );
+        assert_eq!(
+            cp.eval_into(&f, &mut scratch, EvalMode::Count),
+            EvalOutcome::Count(1)
+        );
+    }
+
+    #[test]
+    fn compiled_path_skips_dead_subtrees_and_unnamed_symbols() {
+        // `a` at the top only: under a `c` root the state is dead, so the
+        // search never descends, and `c` (interned after the compile)
+        // takes the co-finite edge.
+        let mut ab = Alphabet::new();
+        let p = parse_path("a", &mut ab).unwrap();
+        let cp = CompiledPath::compile(&p, &ab);
+        let c = ab.sym("c");
+        let mut h = Hedge::leaf(c);
+        for _ in 0..50 {
+            h = Hedge::node(c, h);
+        }
+        h.0.push(Tree::Node(ab.get_sym("a").unwrap(), Hedge::empty()));
+        let f = FlatHedge::from_hedge(&h);
+        let mut scratch = EvalScratch::new();
+        assert_eq!(
+            cp.eval_into(&f, &mut scratch, EvalMode::Locate),
+            EvalOutcome::Located(1)
+        );
+        assert_eq!(scratch.located(), &[51]);
+        assert_eq!(
+            cp.eval_into(&f, &mut scratch, EvalMode::Exists),
+            EvalOutcome::Exists(true)
+        );
+        // Pruned with only the last root as a candidate: the chain is one
+        // index skip.
+        let end = crate::two_pass::subtree_ends(&f);
+        let prune = PruneInfo {
+            candidates: &[51],
+            subtree_end: &end,
+        };
+        assert_eq!(
+            cp.eval_pruned_into(&f, &prune, &mut scratch, EvalMode::Count),
+            (EvalOutcome::Count(1), 1)
+        );
     }
 
     #[test]

@@ -26,13 +26,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use hedgex_hedge::flat::FlatLabel;
-use hedgex_hedge::{FlatHedge, NodeId};
+use hedgex_hedge::{FlatHedge, NodeId, SymId};
 use hedgex_obs as obs;
 
 pub use crate::keys::{canonical_key, fnv1a};
 use crate::phr::Phr;
 use crate::phr_compile::CompiledPhr;
-use crate::two_pass::{self, EvalMode, EvalOutcome, EvalScratch};
+use crate::two_pass::{self, EvalMode, EvalOutcome, EvalScratch, PruneInfo};
 
 /// Facts established about a query by static analysis (the `analyze`
 /// crate), attachable to a [`Plan`] via [`Plan::with_facts`].
@@ -49,7 +49,7 @@ pub struct PlanFacts {
     /// Human-readable reason when `known_empty`.
     pub why_empty: Option<String>,
     /// Symbols present in every document with at least one match.
-    pub required_syms: Vec<hedgex_hedge::SymId>,
+    pub required_syms: Vec<SymId>,
 }
 
 /// An immutable, shareable execution plan for a PHR query.
@@ -188,48 +188,6 @@ impl Plan {
         two_pass::exists_into(&self.inner, h, scratch)
     }
 
-    /// The indexed counterpart of the `lacks_required_sym` label scan:
-    /// given an oracle for "does the document contain symbol `a`" (in a
-    /// store, one postings-emptiness probe — O(1) per symbol instead of
-    /// O(nodes)), report whether some analysis-required symbol is absent.
-    /// `true` is a sound proof that the document has no matches.
-    pub fn missing_required_sym(&self, has_sym: impl Fn(hedgex_hedge::SymId) -> bool) -> bool {
-        let Some(facts) = self.facts.as_deref() else {
-            return false;
-        };
-        if facts.required_syms.iter().any(|&s| !has_sym(s)) {
-            obs::counter_inc("core.plan.symbol_rejects");
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Index-pruned evaluation (see [`two_pass::eval_pruned_into`]): the
-    /// same answer as [`Plan::eval_into`], visiting only the
-    /// ancestors-closure of the candidate set. A plan proven empty by
-    /// analysis answers without reading the document, exactly like the
-    /// unpruned front doors. Returns the outcome plus the number of
-    /// subtrees the index pruned.
-    pub fn eval_pruned_into(
-        &self,
-        h: &FlatHedge,
-        prune: &two_pass::PruneInfo<'_>,
-        scratch: &mut EvalScratch,
-        mode: EvalMode,
-    ) -> (EvalOutcome, u64) {
-        if self.known_empty() {
-            scratch.clear_located();
-            let outcome = match mode {
-                EvalMode::Locate => EvalOutcome::Located(0),
-                EvalMode::Count => EvalOutcome::Count(0),
-                EvalMode::Exists => EvalOutcome::Exists(false),
-            };
-            return (outcome, 0);
-        }
-        two_pass::eval_pruned_into(&self.inner, h, prune, scratch, mode)
-    }
-
     /// Evaluate in the chosen [`EvalMode`]. The plan itself is
     /// mode-independent — one compiled plan (and one cache entry) serves
     /// locate, count, and exists alike.
@@ -243,6 +201,82 @@ impl Plan {
             EvalMode::Locate => EvalOutcome::Located(self.locate_into(h, scratch).len()),
             EvalMode::Count => EvalOutcome::Count(self.count_into(h, scratch)),
             EvalMode::Exists => EvalOutcome::Exists(self.exists_into(h, scratch)),
+        }
+    }
+}
+
+/// What an index-aware driver needs from a compiled query, whichever
+/// engine compiled it: evaluation in every [`EvalMode`], plain and
+/// index-pruned, and the two facts an index can act on. [`Plan`] (a PHR on
+/// Algorithm 1) and [`CompiledPath`](crate::path_expr::CompiledPath)
+/// (Section 8's top-down DFA) implement it, so a store or a worker pool is
+/// written once for both.
+pub trait Query: Sync {
+    /// Evaluate `h` in `mode`. For `Locate` the match set is left in the
+    /// scratch ([`EvalScratch::located`]); the outcome carries its size.
+    fn eval_into(&self, h: &FlatHedge, scratch: &mut EvalScratch, mode: EvalMode) -> EvalOutcome;
+
+    /// The answer of [`Query::eval_into`], visiting only the
+    /// ancestors-closure of `prune.candidates` (which must include every
+    /// node labelled by a [`Query::match_syms`] symbol). Also returns the
+    /// number of subtrees the index alone pruned.
+    fn eval_pruned_into(
+        &self,
+        h: &FlatHedge,
+        prune: &PruneInfo<'_>,
+        scratch: &mut EvalScratch,
+        mode: EvalMode,
+    ) -> (EvalOutcome, u64);
+
+    /// A sound over-approximation of the labels a matching node can carry,
+    /// or `None` when no finite list is a sound bound.
+    fn match_syms(&self) -> Option<Vec<SymId>>;
+
+    /// Given an oracle for "does the document contain symbol `a`" (in a
+    /// store, one postings-emptiness probe — O(1) per symbol instead of a
+    /// label scan), report whether some required symbol is absent. `true`
+    /// is a sound proof that the document has no matches.
+    fn missing_required_sym(&self, has_sym: impl Fn(SymId) -> bool) -> bool;
+}
+
+impl Query for Plan {
+    fn eval_into(&self, h: &FlatHedge, scratch: &mut EvalScratch, mode: EvalMode) -> EvalOutcome {
+        Plan::eval_into(self, h, scratch, mode)
+    }
+
+    /// Delegates to [`two_pass::eval_pruned_into`]. A plan proven empty by
+    /// analysis answers without reading the document, exactly like the
+    /// unpruned front doors.
+    fn eval_pruned_into(
+        &self,
+        h: &FlatHedge,
+        prune: &PruneInfo<'_>,
+        scratch: &mut EvalScratch,
+        mode: EvalMode,
+    ) -> (EvalOutcome, u64) {
+        if self.known_empty() {
+            scratch.clear_located();
+            return (EvalOutcome::empty(mode), 0);
+        }
+        two_pass::eval_pruned_into(&self.inner, h, prune, scratch, mode)
+    }
+
+    /// [`CompiledPhr::match_syms`].
+    fn match_syms(&self) -> Option<Vec<SymId>> {
+        self.inner.match_syms()
+    }
+
+    /// Checks the attached analysis facts' `required_syms`: the indexed
+    /// counterpart of the label scan in [`Plan::count_into`].
+    fn missing_required_sym(&self, has_sym: impl Fn(SymId) -> bool) -> bool {
+        let Some(facts) = self.facts.as_deref() else {
+            return false;
+        };
+        if facts.required_syms.iter().any(|&s| !has_sym(s)) {
+            obs::counter_inc("core.plan.symbol_rejects");
+            true
+        } else {
+            false
         }
     }
 }

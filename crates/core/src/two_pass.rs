@@ -62,6 +62,15 @@ pub enum EvalOutcome {
 }
 
 impl EvalOutcome {
+    /// The outcome of a run in `mode` that matched nothing.
+    pub fn empty(mode: EvalMode) -> EvalOutcome {
+        match mode {
+            EvalMode::Locate => EvalOutcome::Located(0),
+            EvalMode::Count => EvalOutcome::Count(0),
+            EvalMode::Exists => EvalOutcome::Exists(false),
+        }
+    }
+
     /// Did the query match at least one node, whichever mode produced it?
     pub fn is_match(&self) -> bool {
         match *self {
@@ -102,12 +111,13 @@ pub struct EvalScratch {
     /// `N`-state per node (second traversal).
     n_state: Vec<u32>,
     /// Matches of the most recent run.
-    located: Vec<NodeId>,
+    pub(crate) located: Vec<NodeId>,
     /// Per-`N`-state tallies (Count mode: no match-set writes at all).
     state_count: Vec<u64>,
-    /// Explicit DFS stack for the pruned Exists traversal:
-    /// `(node, parent N-state)`.
-    stack: Vec<(NodeId, u32)>,
+    /// Explicit DFS stack for the pruned traversals: `(node, parent
+    /// state)` — an `N`-state here, a path-DFA state in
+    /// [`crate::path_expr::CompiledPath`].
+    pub(crate) stack: Vec<(NodeId, u32)>,
 }
 
 impl EvalScratch {
@@ -638,13 +648,8 @@ pub fn eval_pruned_into(
     if locate {
         scratch.located.clear();
     }
-    let zero = || match mode {
-        EvalMode::Locate => EvalOutcome::Located(0),
-        EvalMode::Count => EvalOutcome::Count(0),
-        EvalMode::Exists => EvalOutcome::Exists(false),
-    };
     if prune.candidates.is_empty() {
-        return (zero(), h.roots().len() as u64);
+        return (EvalOutcome::empty(mode), h.roots().len() as u64);
     }
     debug_assert_eq!(prune.subtree_end.len(), h.num_nodes());
     phr.m.run_into(h, &mut scratch.ha);

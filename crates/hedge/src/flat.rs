@@ -396,6 +396,48 @@ impl FlatHedge {
     }
 }
 
+/// Dewey addresses for many nodes of one hedge, as an output writer needs
+/// them: sibling ordinals are computed once, in one preorder sweep, and
+/// each address is then a parent walk into a reused buffer — O(depth) per
+/// node, where [`FlatHedge::dewey`] also walks every elder sibling of every
+/// ancestor (quadratic on wide fan-out) and allocates per call.
+pub struct DeweyPaths<'h> {
+    h: &'h FlatHedge,
+    /// 1-based position of each node among its siblings.
+    ordinal: Vec<u32>,
+    path: Vec<u32>,
+}
+
+impl<'h> DeweyPaths<'h> {
+    /// Sweep `h` once for its sibling ordinals.
+    pub fn new(h: &'h FlatHedge) -> DeweyPaths<'h> {
+        let mut ordinal = Vec::with_capacity(h.num_nodes());
+        for n in h.preorder() {
+            // An elder sibling precedes `n` in preorder, so its ordinal is
+            // already known.
+            let o = h.prev_sibling(n).map_or(1, |p| ordinal[p as usize] + 1);
+            ordinal.push(o);
+        }
+        DeweyPaths {
+            h,
+            ordinal,
+            path: Vec::new(),
+        }
+    }
+
+    /// The Dewey address of `n`, equal to [`FlatHedge::dewey`]`(n)`.
+    pub fn get(&mut self, n: NodeId) -> &[u32] {
+        self.path.clear();
+        let mut cur = Some(n);
+        while let Some(id) = cur {
+            self.path.push(self.ordinal[id as usize]);
+            cur = self.h.parent(id);
+        }
+        self.path.reverse();
+        &self.path
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +500,10 @@ mod tests {
         }
         assert_eq!(f.by_dewey(&[3]), None);
         assert_eq!(f.by_dewey(&[]), None);
+        let mut paths = DeweyPaths::new(&f);
+        for n in f.preorder() {
+            assert_eq!(paths.get(n), &f.dewey(n)[..], "node {n}");
+        }
     }
 
     #[test]
@@ -543,5 +589,21 @@ mod tests {
         assert!(f.elder_siblings(0).is_empty());
         assert_eq!(f.elder_siblings(1), vec![0]);
         assert!(f.younger_siblings(1).is_empty());
+    }
+
+    #[test]
+    fn dewey_paths_agree_with_dewey_on_a_wide_hedge() {
+        // One node with 10 000 children, each with a child of its own: the
+        // fan-out where per-node elder-sibling walks go quadratic.
+        let mut ab = Alphabet::new();
+        let (a, b) = (ab.sym("a"), ab.sym("b"));
+        let wide = Hedge((0..10_000).map(|_| Tree::Node(a, Hedge::leaf(b))).collect());
+        let f = FlatHedge::from_hedge(&Hedge(vec![Tree::Node(b, wide)]));
+        let mut paths = DeweyPaths::new(&f);
+        for n in f.preorder() {
+            assert_eq!(paths.get(n), &f.dewey(n)[..], "node {n}");
+        }
+        let last = f.num_nodes() as NodeId - 1;
+        assert_eq!(paths.get(last), &[1, 10_000, 1]);
     }
 }

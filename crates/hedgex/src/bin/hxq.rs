@@ -37,10 +37,11 @@
 //! query — all statically, without reading any document. Exit code 0 when
 //! satisfiable, 1 when provably empty, 2 on usage errors.
 
-use std::io::Read;
+use std::io::{BufWriter, Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use hedgex::hedge::{DeweyPaths, NodeId};
 use hedgex::prelude::*;
 use hedgex::ExplainReport;
 
@@ -286,121 +287,138 @@ fn print_report(report: &ExplainReport) {
     eprintln!("  nodes {}, located {}", report.nodes, report.located);
 }
 
-/// `--repeat N [--jobs J]`: compile the query once, then evaluate it `n`
-/// times reusing scratches (the warm plan path) — sequentially for
-/// `jobs <= 1`, otherwise spread over `jobs` workers with one scratch
-/// each. Prints the aggregate wall time of the evaluation loop —
-/// compilation excluded — to stderr when `--repeat` was given.
-fn locate_repeated(
-    phr: &hedgex::core::Phr,
-    subhedge: Option<&hedgex::core::Hre>,
+/// The envelope condition as the user gave it. A path expression runs on
+/// Section 8's top-down DFA ([`CompiledPath`]); it is embedded as a PHR
+/// only for the reports, which describe the PHR pipeline.
+enum Envelope {
+    Path(hedgex::core::PathExpr),
+    Phr(hedgex::core::Phr),
+}
+
+impl Envelope {
+    /// Parse `--path` or `--phr` (exactly one is set) against `ab`.
+    fn parse(args: &Args, ab: &mut Alphabet) -> Result<Envelope, ExitCode> {
+        let parsed = match (&args.path, &args.phr) {
+            (Some(p), _) => parse_path(p, ab).map(Envelope::Path),
+            (None, Some(p)) => parse_phr(p, ab).map(Envelope::Phr),
+            (None, None) => unreachable!("validated"),
+        };
+        parsed.map_err(|e| usage_error(&format!("query: {e}")))
+    }
+
+    /// The envelope as a PHR: `--phr` directly, `--path` via the Section 5
+    /// embedding (universal sibling conditions over `ab`).
+    fn to_phr(&self, ab: &mut Alphabet) -> hedgex::core::Phr {
+        match self {
+            Envelope::Phr(phr) => phr.clone(),
+            Envelope::Path(path) => {
+                let syms: Vec<_> = ab.syms().collect();
+                let vars: Vec<_> = ab.vars().collect();
+                let z = ab.sub("hxq-universal");
+                path.to_phr(&syms, &vars, z)
+            }
+        }
+    }
+}
+
+/// `--repeat N [--jobs J]`: run `work` `n` times, reusing one scratch per
+/// worker (the warm path) — sequentially for `jobs <= 1`, otherwise spread
+/// over `jobs` workers. Returns the last run's answer, and prints the
+/// aggregate wall time of the loop — compilation excluded — to stderr when
+/// `--repeat` was given.
+fn repeated<S, T: Send>(
     flat: &FlatHedge,
     repeat: Option<u64>,
     jobs: usize,
-) -> Vec<u32> {
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S) -> T + Sync,
+) -> T {
     let n = repeat.unwrap_or(1);
-    let (hits, wall) = if let Some(e) = subhedge {
-        let compiled = SelectQuery {
-            subhedge: e.clone(),
-            envelope: phr.clone(),
-        }
-        .compile();
-        if jobs > 1 {
-            let t = Instant::now();
-            let mut runs = hedgex::par::run_scoped(
-                jobs,
-                n as usize,
-                |_| SelectScratch::new(),
-                |scratch, _| {
-                    compiled.locate_into(flat, scratch);
-                    scratch.located().to_vec()
-                },
-            );
-            (runs.pop().unwrap_or_default(), t.elapsed())
-        } else {
-            let mut scratch = SelectScratch::new();
-            let t = Instant::now();
-            for _ in 0..n {
-                compiled.locate_into(flat, &mut scratch);
-            }
-            (scratch.located().to_vec(), t.elapsed())
-        }
+    let t = Instant::now();
+    let answer = if jobs > 1 {
+        let mut runs = hedgex::par::run_scoped(jobs, n as usize, |_| init(), |s, _| work(s));
+        runs.pop().expect("at least one run")
     } else {
-        let plan = Plan::compile(phr);
-        if jobs > 1 {
-            let t = Instant::now();
-            let hits = ParallelEvaluator::new(jobs).repeat(&plan, flat, n as usize);
-            (hits, t.elapsed())
-        } else {
-            let mut scratch = EvalScratch::new();
-            let t = Instant::now();
-            for _ in 0..n {
-                plan.locate_into(flat, &mut scratch);
-            }
-            (scratch.located().to_vec(), t.elapsed())
+        let mut scratch = init();
+        let mut answer = work(&mut scratch);
+        for _ in 1..n {
+            answer = work(&mut scratch);
         }
+        answer
     };
     if repeat.is_some() {
-        let total_ms = wall.as_secs_f64() * 1e3;
-        let nodes_per_s = (flat.num_nodes() as u64 * n) as f64 / wall.as_secs_f64().max(1e-9);
-        let workers = if jobs > 1 {
-            format!(", {jobs} workers")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
-            total_ms / n as f64
-        );
+        print_repeat_summary(n, flat.num_nodes() as u64, jobs, t.elapsed());
     }
-    hits
+    answer
+}
+
+/// The `--repeat` summary line on stderr: `n` runs over `nodes` nodes each.
+fn print_repeat_summary(n: u64, nodes: u64, jobs: usize, wall: std::time::Duration) {
+    let total_ms = wall.as_secs_f64() * 1e3;
+    let nodes_per_s = (nodes * n) as f64 / wall.as_secs_f64().max(1e-9);
+    let workers = if jobs > 1 {
+        format!(", {jobs} workers")
+    } else {
+        String::new()
+    };
+    eprintln!(
+        "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
+        total_ms / n as f64
+    );
 }
 
 /// The mode-generic materialized path for `--count`/`--exists` when
-/// nothing downstream needs node ids: one mode-independent [`Plan`], the
-/// mode chosen per run. Composes with `--repeat`/`--jobs` exactly like
-/// [`locate_repeated`] (warm scratch per worker, aggregate summary line).
-fn eval_mode_repeated(
-    phr: &hedgex::core::Phr,
+/// nothing downstream needs node ids: one mode-independent compiled query,
+/// the mode chosen per run.
+fn eval_repeated(
+    query: &impl Query,
     flat: &FlatHedge,
     mode: EvalMode,
     repeat: Option<u64>,
     jobs: usize,
 ) -> EvalOutcome {
-    let n = repeat.unwrap_or(1);
-    let plan = Plan::compile(phr);
-    let (outcome, wall) = if jobs > 1 {
-        let t = Instant::now();
-        let mut runs = hedgex::par::run_scoped(
-            jobs,
-            n as usize,
-            |_| EvalScratch::new(),
-            |scratch, _| plan.eval_into(flat, scratch, mode),
-        );
-        (runs.pop().expect("at least one run"), t.elapsed())
-    } else {
-        let mut scratch = EvalScratch::new();
-        let t = Instant::now();
-        let mut out = plan.eval_into(flat, &mut scratch, mode);
-        for _ in 1..n {
-            out = plan.eval_into(flat, &mut scratch, mode);
-        }
-        (out, t.elapsed())
-    };
-    if repeat.is_some() {
-        let total_ms = wall.as_secs_f64() * 1e3;
-        let nodes_per_s = (flat.num_nodes() as u64 * n) as f64 / wall.as_secs_f64().max(1e-9);
-        let workers = if jobs > 1 {
-            format!(", {jobs} workers")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
-            total_ms / n as f64
-        );
+    repeated(flat, repeat, jobs, EvalScratch::new, |scratch| {
+        query.eval_into(flat, scratch, mode)
+    })
+}
+
+/// The located nodes of a compiled query, run as [`repeated`] says.
+fn locate_repeated(
+    query: &impl Query,
+    flat: &FlatHedge,
+    repeat: Option<u64>,
+    jobs: usize,
+) -> Vec<NodeId> {
+    repeated(flat, repeat, jobs, EvalScratch::new, |scratch| {
+        query.eval_into(flat, scratch, EvalMode::Locate);
+        scratch.located().to_vec()
+    })
+}
+
+/// Keep only the hits whose content matches the `--subhedge` HRE.
+fn retain_subhedge(hits: &mut Vec<NodeId>, subhedge: &hedgex::core::Hre, flat: &FlatHedge) {
+    let dha = hedgex::core::mark_down::compile_to_dha(subhedge);
+    let marks = hedgex::core::mark_run(&dha, flat);
+    hits.retain(|&n| marks[n as usize]);
+}
+
+/// One locate line: `PREFIX/d1/d2/…`.
+fn write_dewey(out: &mut impl Write, prefix: &str, dewey: &[u32]) -> std::io::Result<()> {
+    out.write_all(prefix.as_bytes())?;
+    for d in dewey {
+        write!(out, "/{d}")?;
     }
-    outcome
+    out.write_all(b"\n")
+}
+
+/// Locked, buffered stdout for result lines; the caller flushes it and
+/// reports the error.
+fn stdout_lines() -> BufWriter<std::io::StdoutLock<'static>> {
+    BufWriter::new(std::io::stdout().lock())
+}
+
+fn stdout_error(e: std::io::Error) -> String {
+    format!("stdout: {e}")
 }
 
 /// `--stream`: evaluate push-based, straight off the parser's event
@@ -419,7 +437,8 @@ fn run_stream(src: &str, args: &Args) -> Result<ExitCode, String> {
     };
     let mut ab = Alphabet::new();
     let hits_found: bool;
-    let mut lines: Vec<String> = Vec::new();
+    let print_lines = !args.exists && !args.count;
+    let mut out = stdout_lines();
     let mut phases: Vec<(&'static str, u64)> = Vec::new();
     let timed = |phases: &mut Vec<(&'static str, u64)>, name, f: &mut dyn FnMut()| {
         let t = Instant::now();
@@ -439,7 +458,7 @@ fn run_stream(src: &str, args: &Args) -> Result<ExitCode, String> {
                 PathStream::new(&path, &ab)
                     .exists(args.exists)
                     .count_only(args.count)
-                    .collect_deweys(!args.exists && !args.count),
+                    .collect_deweys(print_lines),
             )
         });
         let mut sink = sink.expect("compiled");
@@ -455,8 +474,7 @@ fn run_stream(src: &str, args: &Args) -> Result<ExitCode, String> {
         hits_found = sink.found();
         located_count = sink.count() as usize;
         for d in sink.deweys() {
-            let dewey: Vec<String> = d.iter().map(u32::to_string).collect();
-            lines.push(format!("/{}", dewey.join("/")));
+            write_dewey(&mut out, "", d).map_err(stdout_error)?;
         }
     } else {
         let phr = match parse_phr(args.phr.as_deref().expect("validated"), &mut ab) {
@@ -497,8 +515,7 @@ fn run_stream(src: &str, args: &Args) -> Result<ExitCode, String> {
             (!hits.is_empty(), hits.len())
         };
         for &n in &hits {
-            let dewey: Vec<String> = sink.dewey(n).iter().map(u32::to_string).collect();
-            lines.push(format!("/{}", dewey.join("/")));
+            write_dewey(&mut out, "", &sink.dewey(n)).map_err(stdout_error)?;
         }
     }
     if let Some(path) = &args.metrics_json {
@@ -539,12 +556,9 @@ fn run_stream(src: &str, args: &Args) -> Result<ExitCode, String> {
     }
     if args.count {
         // The count is the answer: exit 0 even when it is 0.
-        println!("{located_count}");
-        return Ok(ExitCode::SUCCESS);
+        writeln!(out, "{located_count}").map_err(stdout_error)?;
     }
-    for line in lines {
-        println!("{line}");
-    }
+    out.flush().map_err(stdout_error)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -580,10 +594,13 @@ fn run(args: Args) -> Result<ExitCode, String> {
 }
 
 /// `--store STORE`: answer the query over every document in a persistent
-/// store. The plan carries its analysis facts, so documents missing a
-/// required symbol are rejected by one postings probe each, and the
-/// two-pass traversal visits only subtrees whose preorder range holds a
-/// candidate node (a posting under one of the query's accepting labels).
+/// store. A `--path` query compiles to a [`CompiledPath`] (Section 8's
+/// top-down DFA, no PHR embedding) whose required and accepting labels
+/// come from the path itself; a `--phr` query compiles to a [`Plan`]
+/// carrying its analysis facts. Either way, documents missing a required
+/// symbol are rejected by one postings probe each, and the traversal
+/// visits only subtrees whose preorder range holds a candidate node (a
+/// posting under one of the query's accepting labels).
 fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
     use hedgex::analyze::AnalyzedQuery;
 
@@ -593,42 +610,27 @@ fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
     // with the postings; genuinely new symbols intern past the end and
     // simply have empty postings everywhere.
     let mut ab = store.alphabet().clone();
-    let (phr, facts) = if let Some(p) = &args.phr {
-        let phr = match parse_phr(p, &mut ab) {
-            Ok(p) => p,
-            Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-        };
-        // Analysis cost scales with the query's own symbols — fine for a
-        // hand-written PHR.
-        let facts = AnalyzedQuery::new(&phr, None).plan_facts(None);
-        (phr, facts)
-    } else {
-        let path = match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
-            Ok(p) => p,
-            Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-        };
-        // The universal embedding mentions the whole corpus alphabet, so
-        // automata-based analysis would blow up; the path's own structure
-        // gives the same required-symbol facts for free.
-        let facts = match path.required_syms() {
-            Some(required_syms) => PlanFacts {
-                known_empty: false,
-                why_empty: None,
-                required_syms,
-            },
-            None => PlanFacts {
-                known_empty: true,
-                why_empty: Some("path expression denotes no paths".into()),
-                required_syms: Vec::new(),
-            },
-        };
-        let syms: Vec<_> = ab.syms().collect();
-        let vars: Vec<_> = ab.vars().collect();
-        let z = ab.sub("hxq-universal");
-        (path.to_phr(&syms, &vars, z), facts)
-    };
-    let plan = Plan::compile(&phr).with_facts(facts);
-    let query = hedgex::store::StoreQuery::new(&store, &plan);
+    match Envelope::parse(args, &mut ab) {
+        Err(code) => Ok(code),
+        Ok(Envelope::Path(path)) => answer_store(&store, &CompiledPath::compile(&path, &ab), args),
+        Ok(Envelope::Phr(phr)) => {
+            // Analysis cost scales with the query's own symbols — fine for
+            // a hand-written PHR.
+            let facts = AnalyzedQuery::new(&phr, None).plan_facts(None);
+            answer_store(&store, &Plan::compile(&phr).with_facts(facts), args)
+        }
+    }
+}
+
+/// Run a compiled query over the store in the mode the flags ask for and
+/// print the answer: `NAME:/dewey` lines, the corpus total, or an exit
+/// code.
+fn answer_store(
+    store: &DocumentStore,
+    query: &impl Query,
+    args: &Args,
+) -> Result<ExitCode, String> {
+    let query = hedgex::store::StoreQuery::new(store, query);
     let jobs = args.jobs.unwrap_or(1) as usize;
     let n = args.repeat.unwrap_or(1);
 
@@ -650,29 +652,23 @@ fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
             EvalMode::Exists => exists = query.exists_corpus(jobs),
         }
     }
-    let wall = t.elapsed();
     if args.repeat.is_some() {
-        let total_ms = wall.as_secs_f64() * 1e3;
-        let nodes_per_s = (store.total_nodes() * n) as f64 / wall.as_secs_f64().max(1e-9);
-        let workers = if jobs > 1 {
-            format!(", {jobs} workers")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
-            total_ms / n as f64
-        );
+        print_repeat_summary(n, store.total_nodes(), jobs, t.elapsed());
     }
     match mode {
         EvalMode::Locate => {
+            let mut out = stdout_lines();
             for (doc, hits) in store.docs().iter().zip(&located) {
+                if hits.is_empty() {
+                    continue;
+                }
+                let prefix = format!("{}:", doc.name());
+                let mut dewey = DeweyPaths::new(doc.hedge());
                 for &node in hits {
-                    let dewey: Vec<String> =
-                        doc.hedge().dewey(node).iter().map(u32::to_string).collect();
-                    println!("{}:/{}", doc.name(), dewey.join("/"));
+                    write_dewey(&mut out, &prefix, dewey.get(node)).map_err(stdout_error)?;
                 }
             }
+            out.flush().map_err(stdout_error)?;
             Ok(ExitCode::SUCCESS)
         }
         EvalMode::Count => {
@@ -728,80 +724,68 @@ fn run_query(args: &Args) -> Result<ExitCode, String> {
         None => None,
     };
 
-    let want_report = args.explain || args.metrics_json.is_some();
-    // Reports, repeated runs, and worker pools all need the query as a
-    // PHR plan.
-    let want_phr = want_report || args.repeat.is_some() || args.jobs.is_some();
+    let envelope = match Envelope::parse(args, &mut ab) {
+        Ok(e) => e,
+        Err(code) => return Ok(code),
+    };
+    // The report describes the PHR pipeline, so it is the one route that
+    // embeds a path as a PHR.
+    let report = (args.explain || args.metrics_json.is_some())
+        .then(|| hedgex::explain(&envelope.to_phr(&mut ab), subhedge.as_ref(), &flat));
+    let jobs = args.jobs.unwrap_or(1) as usize;
+    let repeat = args.repeat;
 
     // In count/exists mode with nothing downstream needing node ids, the
-    // mode-generic plan path answers without materializing the match set.
+    // mode-generic path answers without materializing the match set.
     let mut outcome: Option<EvalOutcome> = None;
-
-    // Envelope condition (and, through explain, the subhedge filter).
-    let (hits, report): (Vec<u32>, Option<ExplainReport>) = {
-        // The envelope as a PHR: --phr directly, --path via the Section 5
-        // embedding (universal sibling conditions).
-        let phr = if let Some(p) = &args.phr {
-            match parse_phr(p, &mut ab) {
-                Ok(p) => Some(p),
-                Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-            }
-        } else if want_phr {
-            let path = match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
-                Ok(p) => p,
-                Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-            };
-            let syms: Vec<_> = ab.syms().collect();
-            let vars: Vec<_> = ab.vars().collect();
-            let z = ab.sub("hxq-universal");
-            Some(path.to_phr(&syms, &vars, z))
+    let hits: Vec<NodeId> = if (args.count || args.exists) && subhedge.is_none() && report.is_none()
+    {
+        let mode = if args.count {
+            EvalMode::Count
         } else {
-            None
+            EvalMode::Exists
         };
-        match phr {
-            Some(phr) => {
-                let report = want_report.then(|| hedgex::explain(&phr, subhedge.as_ref(), &flat));
-                let hits = if (args.count || args.exists) && subhedge.is_none() && report.is_none()
-                {
-                    let mode = if args.count {
-                        EvalMode::Count
-                    } else {
-                        EvalMode::Exists
-                    };
-                    let jobs = args.jobs.unwrap_or(1) as usize;
-                    outcome = Some(eval_mode_repeated(&phr, &flat, mode, args.repeat, jobs));
-                    Vec::new()
-                } else if args.repeat.is_some() || args.jobs.is_some() {
-                    let jobs = args.jobs.unwrap_or(1) as usize;
-                    locate_repeated(&phr, subhedge.as_ref(), &flat, args.repeat, jobs)
-                } else if let Some(report) = &report {
-                    report.hits.clone()
-                } else {
-                    let compiled = CompiledPhr::compile(&phr);
-                    let mut hits = two_pass::locate(&compiled, &flat);
-                    if let Some(e) = &subhedge {
-                        let dha = hedgex::core::mark_down::compile_to_dha(e);
-                        let marks = hedgex::core::mark_run(&dha, &flat);
-                        hits.retain(|&n| marks[n as usize]);
-                    }
-                    hits
-                };
-                (hits, report)
+        outcome = Some(match &envelope {
+            Envelope::Path(path) => {
+                eval_repeated(&CompiledPath::compile(path, &ab), &flat, mode, repeat, jobs)
             }
-            None => {
-                let path = match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
-                    Ok(p) => p,
-                    Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-                };
-                let mut hits = path.locate(&flat);
-                if let Some(e) = &subhedge {
-                    let dha = hedgex::core::mark_down::compile_to_dha(e);
-                    let marks = hedgex::core::mark_run(&dha, &flat);
-                    hits.retain(|&n| marks[n as usize]);
+            Envelope::Phr(phr) => eval_repeated(&Plan::compile(phr), &flat, mode, repeat, jobs),
+        });
+        Vec::new()
+    } else if repeat.is_some() || args.jobs.is_some() {
+        match (&envelope, &subhedge) {
+            (Envelope::Phr(phr), Some(e)) => {
+                let compiled = SelectQuery {
+                    subhedge: e.clone(),
+                    envelope: phr.clone(),
                 }
-                (hits, None)
+                .compile();
+                repeated(&flat, repeat, jobs, SelectScratch::new, |scratch| {
+                    compiled.locate_into(&flat, scratch);
+                    scratch.located().to_vec()
+                })
+            }
+            (Envelope::Phr(phr), None) => locate_repeated(&Plan::compile(phr), &flat, repeat, jobs),
+            (Envelope::Path(path), _) => {
+                let compiled = CompiledPath::compile(path, &ab);
+                let mut hits = locate_repeated(&compiled, &flat, repeat, jobs);
+                if let Some(e) = &subhedge {
+                    retain_subhedge(&mut hits, e, &flat);
+                }
+                hits
             }
         }
+    } else if let Some(report) = &report {
+        report.hits.clone()
+    } else {
+        let mut hits = match &envelope {
+            Envelope::Path(path) => path.locate(&flat),
+            Envelope::Phr(phr) => two_pass::locate(&CompiledPhr::compile(phr), &flat),
+        };
+        if let Some(e) = &subhedge {
+            retain_subhedge(&mut hits, e, &flat);
+        }
+        hits
     };
 
     // One (found, counted) pair whatever route produced the answer: the
@@ -838,10 +822,12 @@ fn run_query(args: &Args) -> Result<ExitCode, String> {
         }
         print!("{}", write_xml(&flat, &ab, Some(&marks)));
     } else {
+        let mut out = stdout_lines();
+        let mut dewey = DeweyPaths::new(&flat);
         for &n in &hits {
-            let dewey: Vec<String> = flat.dewey(n).iter().map(u32::to_string).collect();
-            println!("/{}", dewey.join("/"));
+            write_dewey(&mut out, "", dewey.get(n)).map_err(stdout_error)?;
         }
+        out.flush().map_err(stdout_error)?;
     }
 
     emit_report(args, report.as_ref())?;

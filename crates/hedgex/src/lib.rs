@@ -53,8 +53,8 @@ pub mod prelude {
     pub use hedgex_core::schema::transform_select;
     pub use hedgex_core::two_pass;
     pub use hedgex_core::{
-        CompiledPhr, EvalMode, EvalOutcome, EvalScratch, Plan, PlanCache, PlanFacts,
-        SharedPlanCache,
+        CompiledPath, CompiledPhr, EvalMode, EvalOutcome, EvalScratch, Plan, PlanCache, PlanFacts,
+        Query, SharedPlanCache,
     };
     pub use hedgex_ha::{determinize, Dha, Nha};
     pub use hedgex_hedge::{parse_hedge, Alphabet, FlatHedge, Hedge, PointedHedge};

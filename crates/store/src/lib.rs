@@ -17,21 +17,24 @@
 //!   extents (`subtree_end[n]` is one past `n`'s last descendant). The
 //!   index is never stored: it is rebuilt from the validated document in
 //!   O(n) at build and at load (a counting sort and one reverse sweep).
-//! * [`StoreQuery`] — index-pruned evaluation: a plan's required symbols
-//!   are checked against postings emptiness (O(1) per document instead of
-//!   a label scan), the candidate set is the union of the
-//!   `CompiledPhr::match_syms` postings, and the two-pass traversal visits
-//!   only the ancestors-closure of candidate ranges
-//!   (`hedgex_core::two_pass::eval_pruned_into`). Documents whose
-//!   candidate set is empty skip evaluation — including the bottom-up
-//!   automaton run — entirely.
+//! * [`StoreQuery`] — index-pruned evaluation of any compiled
+//!   [`Query`]: a path expression's `CompiledPath` (Section 8's top-down
+//!   DFA) or a PHR's `Plan`. The query's required symbols are checked
+//!   against postings emptiness (O(1) per document instead of a label
+//!   scan), the candidate set is the union of the postings of its
+//!   [`Query::match_syms`], and the query's traversal visits only the
+//!   ancestors-closure of candidate ranges ([`Query::eval_pruned_into`]).
+//!   Documents whose candidate set is empty skip evaluation — including a
+//!   plan's bottom-up automaton run — entirely.
 //!
 //! Observability: `store.{docs_pruned,ranges_skipped,postings_hits}`
 //! counters and `store.{save,load,query.doc}` spans.
 //!
 //! [`FlatHedge`]: hedgex_hedge::FlatHedge
 //! [`Alphabet`]: hedgex_hedge::Alphabet
-//! [`CompiledPhr::match_syms`]: hedgex_core::CompiledPhr::match_syms
+//! [`Query`]: hedgex_core::Query
+//! [`Query::match_syms`]: hedgex_core::Query::match_syms
+//! [`Query::eval_pruned_into`]: hedgex_core::Query::eval_pruned_into
 
 #![forbid(unsafe_code)]
 

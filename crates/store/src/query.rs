@@ -1,51 +1,54 @@
 //! Index-pruned query evaluation over a [`DocumentStore`].
 //!
-//! A [`StoreQuery`] binds one compiled [`Plan`] to a store and answers it
-//! per-document (or corpus-wide, in parallel) using the structural index
-//! to do strictly less work than the plain evaluators:
+//! A [`StoreQuery`] binds one compiled query — any [`Query`]: a PHR
+//! [`Plan`] or a path expression's [`CompiledPath`] — to a store and
+//! answers it per-document (or corpus-wide, in parallel) using the
+//! structural index to do strictly less work than the plain evaluators:
 //!
-//! 1. **Postings-emptiness reject** — if analysis proved the query needs
-//!    symbol `a` (`PlanFacts::required_syms`) and the document's postings
-//!    for `a` are empty, the answer is zero without touching a single
-//!    node. This replaces the `lacks_required_sym` label scan with O(1)
-//!    probes per document.
-//! 2. **Candidate-range pruning** — `CompiledPhr::match_syms` gives the
-//!    only labels an accepting node can carry; the union of their postings
+//! 1. **Postings-emptiness reject** — if the query needs symbol `a`
+//!    ([`Query::missing_required_sym`]: a plan's analysis facts, a path's
+//!    own structure) and the document's postings for `a` are empty, the
+//!    answer is zero without touching a single node. This replaces a
+//!    label scan with O(1) probes per document.
+//! 2. **Candidate-range pruning** — [`Query::match_syms`] gives the only
+//!    labels an accepting node can carry; the union of their postings
 //!    (already preorder-sorted per symbol) is the candidate set, and the
-//!    two-pass traversal then skips every subtree whose preorder range —
+//!    query's traversal then skips every subtree whose preorder range —
 //!    `subtree_end` from the structural index — contains no candidate.
-//!    An empty candidate set skips the document entirely, including the
-//!    bottom-up automaton run.
+//!    An empty candidate set skips the document entirely, including a
+//!    plan's bottom-up automaton run.
 //!
 //! Both prunes are sound over-approximations (the pruned traversal still
 //! runs the full automata over everything it visits), so indexed answers
 //! are bit-identical to the unpruned evaluators — the property suite
-//! asserts exactly that across the mode matrix.
+//! asserts exactly that across the mode matrix, for both engines.
+//!
+//! [`CompiledPath`]: hedgex_core::CompiledPath
 
-use hedgex_core::{EvalMode, EvalOutcome, EvalScratch, Plan, PruneInfo};
+use hedgex_core::{EvalMode, EvalOutcome, EvalScratch, Plan, PruneInfo, Query};
 use hedgex_hedge::{NodeId, SymId};
 use hedgex_obs as obs;
 use hedgex_par::ParallelEvaluator;
 
 use crate::store::{DocumentStore, StoredDoc};
 
-/// One plan bound to one store, ready to answer in any [`EvalMode`].
-pub struct StoreQuery<'a> {
+/// One compiled query bound to one store, ready to answer in any
+/// [`EvalMode`].
+pub struct StoreQuery<'a, Q: Query = Plan> {
     store: &'a DocumentStore,
-    plan: &'a Plan,
+    query: &'a Q,
     /// Labels an accepting node can carry (`None` = no bound usable).
     match_syms: Option<Vec<SymId>>,
 }
 
-impl<'a> StoreQuery<'a> {
-    /// Bind `plan` to `store`. The accepting-label bound is computed once
+impl<'a, Q: Query> StoreQuery<'a, Q> {
+    /// Bind `query` to `store`. The accepting-label bound is computed once
     /// here and reused across every document.
-    pub fn new(store: &'a DocumentStore, plan: &'a Plan) -> StoreQuery<'a> {
-        let match_syms = plan.match_syms();
+    pub fn new(store: &'a DocumentStore, query: &'a Q) -> StoreQuery<'a, Q> {
         StoreQuery {
             store,
-            plan,
-            match_syms,
+            query,
+            match_syms: query.match_syms(),
         }
     }
 
@@ -59,7 +62,7 @@ impl<'a> StoreQuery<'a> {
         self.match_syms.as_deref()
     }
 
-    /// Answer the plan on one stored document. `candidates` is caller
+    /// Answer the query on one stored document. `candidates` is caller
     /// scratch (cleared here) so corpus sweeps reuse one allocation; on
     /// return for [`EvalMode::Locate`], the match set is in
     /// `scratch.located()`.
@@ -80,19 +83,19 @@ impl<'a> StoreQuery<'a> {
         // matches" — answer through the pruned path with zero candidates
         // (uniform zero outcome, located cleared, no automaton run).
         if self
-            .plan
+            .query
             .missing_required_sym(|s| !ix.postings(s).is_empty())
         {
             obs::counter_inc("store.docs_pruned");
             let (outcome, _) = self
-                .plan
+                .query
                 .eval_pruned_into(doc.hedge(), &prune_all, scratch, mode);
             return outcome;
         }
         let Some(ms) = &self.match_syms else {
             // No usable accepting-label bound: fall back to the plain
             // evaluator (identical answers, no pruning).
-            return self.plan.eval_into(doc.hedge(), scratch, mode);
+            return self.query.eval_into(doc.hedge(), scratch, mode);
         };
         // Prune 2: candidates = union of the accepting labels' postings.
         // Each list is preorder-sorted and the lists are disjoint (one
@@ -111,7 +114,7 @@ impl<'a> StoreQuery<'a> {
             subtree_end: ix.subtree_end(),
         };
         let (outcome, skipped) = self
-            .plan
+            .query
             .eval_pruned_into(doc.hedge(), &prune, scratch, mode);
         obs::counter_add("store.ranges_skipped", skipped);
         outcome

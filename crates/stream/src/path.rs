@@ -9,8 +9,8 @@
 //! stops reading input, which is the streaming win no materialized
 //! evaluator can have.
 
-use hedgex_automata::{DenseDfa, Nfa, StateId};
-use hedgex_core::path_expr::PathExpr;
+use hedgex_automata::StateId;
+use hedgex_core::path_expr::{CompiledPath, PathExpr};
 use hedgex_ha::Leaf;
 use hedgex_hedge::{Alphabet, NodeId, SymId};
 
@@ -19,12 +19,12 @@ use crate::{HedgeSink, StreamStats};
 /// A [`HedgeSink`] evaluating a classical path expression with one
 /// top-down DFA, O(depth) state.
 ///
-/// Compile with [`PathStream::new`] *after* interning the query (the dense
-/// table must cover the query's own symbols; symbols first seen later in
-/// the document stream take the DFA's co-finite edge, which is exactly the
-/// transition a never-mentioned name deserves).
+/// Compile with [`PathStream::new`] *after* interning the query: the DFA
+/// is a [`CompiledPath`], so symbols first seen later in the document
+/// stream take its co-finite edge, which is exactly the transition a
+/// never-mentioned name deserves.
 pub struct PathStream {
-    dense: DenseDfa<SymId>,
+    path: CompiledPath,
     exists: bool,
     count_only: bool,
     collect_deweys: bool,
@@ -47,10 +47,8 @@ pub struct PathStream {
 impl PathStream {
     /// Compile `path` against the symbols interned in `ab` so far.
     pub fn new(path: &PathExpr, ab: &Alphabet) -> PathStream {
-        let dfa = Nfa::from_regex(&path.regex).to_dfa();
-        let syms: Vec<SymId> = ab.syms().collect();
         PathStream {
-            dense: DenseDfa::compile(&dfa, &syms),
+            path: CompiledPath::compile(path, ab),
             exists: false,
             count_only: false,
             collect_deweys: false,
@@ -131,9 +129,9 @@ impl HedgeSink for PathStream {
             .stack
             .last()
             .copied()
-            .unwrap_or_else(|| self.dense.start());
-        let s = self.dense.step(from, &a);
-        let hit = self.dense.is_accepting(s);
+            .unwrap_or_else(|| self.path.start());
+        let s = self.path.step(from, a);
+        let hit = self.path.is_accepting(s);
         if hit {
             self.matched += 1;
             if !self.count_only {

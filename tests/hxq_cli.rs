@@ -915,6 +915,135 @@ fn store_queries_answer_like_grep_over_the_corpus() {
     std::fs::remove_file(&store).ok();
 }
 
+/// The store route pinned to the file route: over one indexed corpus,
+/// `hxq --store S --path Q` prints byte for byte the `NAME:/dewey` lines
+/// that `hxq --path Q FILE` prints file by file, and its `--count` and
+/// `--exists` answer the same. The file route is itself pinned to the
+/// path's PHR embedding run by two-pass in the library — an engine
+/// neither route uses — with Dewey paths from `FlatHedge::dewey`.
+#[test]
+fn store_path_answers_equal_file_by_file_answers() {
+    let dir = scratch("corpus-paths");
+    std::fs::create_dir_all(&dir).unwrap();
+    let names = ["d0.xml", "d1.xml", "d2.xml"];
+    for (seed, name) in names.iter().enumerate() {
+        let w = doc_workload(300, 40 + seed as u64);
+        std::fs::write(dir.join(name), write_xml(&w.doc, &w.ab, None)).unwrap();
+    }
+    let store = scratch("corpus-paths.hxst");
+    let store_s = store.to_str().unwrap();
+    let out = hxq(&["index", dir.to_str().unwrap(), "--out", store_s]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = |o: &Output| String::from_utf8_lossy(&o.stdout).into_owned();
+
+    // `nosuch` is in no document: count 0, exists exit 1.
+    for q in [
+        "article section* figure",
+        "(article|section)* table",
+        "article section para?",
+        "nosuch",
+    ] {
+        let (mut lines, mut total) = (String::new(), 0usize);
+        for name in names {
+            let file = dir.join(name);
+            let file_s = file.to_str().unwrap();
+            let mut ab = Alphabet::new();
+            let doc = parse_xml(&std::fs::read_to_string(&file).unwrap()).unwrap();
+            let cfg = HedgeConfig {
+                keep_text: true,
+                keep_attrs: false,
+            };
+            let flat = FlatHedge::from_hedge(&to_hedge(&doc, &mut ab, cfg));
+            let path = parse_path(q, &mut ab).unwrap();
+            let syms: Vec<_> = ab.syms().collect();
+            let vars: Vec<_> = ab.vars().collect();
+            let z = ab.sub("reference-universal");
+            let hits =
+                two_pass::locate(&CompiledPhr::compile(&path.to_phr(&syms, &vars, z)), &flat);
+            let want: String = hits
+                .iter()
+                .map(|&n| {
+                    let d: Vec<String> = flat.dewey(n).iter().map(u32::to_string).collect();
+                    format!("/{}\n", d.join("/"))
+                })
+                .collect();
+            assert_eq!(text(&hxq(&["--path", q, file_s])), want, "{q} on {name}");
+            let counted = hxq(&["--path", q, "--count", file_s]);
+            assert_eq!(counted.status.code(), Some(0));
+            assert_eq!(text(&counted), format!("{}\n", hits.len()), "{q} on {name}");
+            let exists = hxq(&["--path", q, "--exists", file_s]);
+            assert_eq!(exists.status.code(), Some(hits.is_empty() as i32), "{q}");
+            for line in want.lines() {
+                lines.push_str(&format!("{name}:{line}\n"));
+            }
+            total += hits.len();
+        }
+        assert_eq!(q == "nosuch", total == 0, "{q}: total {total}");
+
+        let located = hxq(&["--store", store_s, "--path", q]);
+        assert_eq!(located.status.code(), Some(0));
+        assert_eq!(text(&located), lines, "{q}: store locate");
+        let counted = hxq(&["--store", store_s, "--path", q, "--count"]);
+        assert_eq!(counted.status.code(), Some(0));
+        assert_eq!(text(&counted), format!("{total}\n"), "{q}: store count");
+        let exists = hxq(&["--store", store_s, "--path", q, "--exists"]);
+        assert_eq!(exists.status.code(), Some((total == 0) as i32), "{q}");
+        assert!(exists.stdout.is_empty());
+        let pooled = hxq(&[
+            "--store", store_s, "--path", q, "--repeat", "3", "--jobs", "2",
+        ]);
+        assert_eq!(pooled.status.code(), Some(0));
+        assert_eq!(text(&pooled), lines, "{q}: --repeat 3 --jobs 2");
+        let pooled = hxq(&[
+            "--store", store_s, "--path", q, "--count", "--repeat", "3", "--jobs", "2",
+        ]);
+        assert_eq!(text(&pooled), format!("{total}\n"), "{q}: pooled count");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&store).ok();
+}
+
+/// The route guard: a `--store --path` count compiles the path to its
+/// top-down DFA (`core.path.compile`) and never embeds it as a PHR, so the
+/// trace has no PHR compile, no hedge-automaton determinization and no HRE
+/// compile span. With obs compiled out the trace is empty and only the
+/// absence half holds.
+#[test]
+fn store_path_count_trace_has_no_phr_compile() {
+    let (dir, store) = indexed_corpus("trace-route");
+    let trace = scratch("store-route-trace.json");
+    let out = hxq(&[
+        "--store",
+        store.to_str().unwrap(),
+        "--path",
+        "r a b",
+        "--count",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "3\n");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let events = Json::parse(&text).expect("trace JSON parses");
+    let names: Vec<&str> = events
+        .as_arr()
+        .expect("trace is a JSON array")
+        .iter()
+        .map(|e| e.get("name").and_then(Json::as_str).expect("event name"))
+        .collect();
+    for banned in ["core.phr_compile", "ha.determinize", "core.compile"] {
+        assert!(!names.contains(&banned), "{banned} span in {names:?}");
+    }
+    if hedgex::obs::is_enabled() {
+        for expected in ["store.load", "core.path.compile", "store.query.doc"] {
+            assert!(names.contains(&expected), "{expected} missing: {names:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&store).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
 #[test]
 fn store_runtime_errors_exit_1_with_one_line_diagnostics() {
     // A missing store file is a runtime error naming the path.

@@ -8,6 +8,11 @@
 //! engine tallies per state without materializing the match set, so the
 //! agreement is a real theorem, not three spellings of one loop.
 //!
+//! The path engine gets the same treatment on exhaustive input: on every
+//! small hedge, [`CompiledPath`] (Section 8's top-down DFA) must agree
+//! with the simplified match-identifying automaton `PathMarkUp` and with
+//! two-pass over the path's PHR embedding, in every mode, pruned and not.
+//!
 //! Graded child constraints (`e{>=n}` / `e{<=n}`) are checked against the
 //! declarative oracle: the parse-time desugaring must denote exactly the
 //! hand-expanded language, on random hedges, through both `Hre::matches`
@@ -21,8 +26,10 @@ use std::cell::RefCell;
 
 use hedgex::core::phr::Phr;
 use hedgex::core::two_pass::{count, exists};
-use hedgex::core::{CompiledPhr, Hre};
-use hedgex::hedge::{Hedge, SymId, Tree, VarId};
+use hedgex::core::{subtree_ends, CompiledPhr, Hre, PruneInfo};
+use hedgex::ha::enumerate_hedges;
+use hedgex::hedge::flat::FlatLabel;
+use hedgex::hedge::{Hedge, NodeId, SymId, Tree, VarId};
 use hedgex::prelude::*;
 use hedgex_testkit::prop::shrink_vec;
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, zip2, Config, Gen, Rng};
@@ -188,6 +195,77 @@ fn count_and_exists_agree_with_locate_everywhere() {
             Ok(())
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// The path engine vs Section 8's automaton and the PHR embedding
+// ---------------------------------------------------------------------------
+
+/// Every enumerated hedge of up to 4 nodes over {a, b, c, $v}: the
+/// [`CompiledPath`] answer in each mode, unpruned and pruned (candidates
+/// = the `match_syms` postings, extents from [`subtree_ends`]), equals
+/// `PathMarkUp::locate` and `two_pass::locate` over `to_phr`. Each path is
+/// compiled against an alphabet holding only its own symbols, so the
+/// others are interned after the compile and take the co-finite edge.
+#[test]
+fn compiled_path_agrees_with_section_8_automaton_and_phr_embedding() {
+    for src in ["a", "a b", "b* a", "(a|b)* b", "a (a|b)?", "c", "a+ c?"] {
+        let mut ab = Alphabet::new();
+        let path = parse_path(src, &mut ab).unwrap();
+        let compiled = CompiledPath::compile(&path, &ab);
+        for name in ["a", "b", "c"] {
+            ab.sym(name);
+        }
+        let vars = vec![ab.var("v")];
+        let syms: Vec<SymId> = ab.syms().collect();
+        let markup = path.match_identifying_nha(&syms, &vars);
+        let z = ab.sub("z");
+        let embedded = CompiledPhr::compile(&path.to_phr(&syms, &vars, z));
+        let match_syms = compiled.match_syms();
+        let mut s = EvalScratch::new();
+        for h in enumerate_hedges(&syms, &vars, 4) {
+            let f = FlatHedge::from_hedge(&h);
+            let want = markup.locate(&f);
+            assert_eq!(two_pass::locate(&embedded, &f), want, "{src}: PHR on {h:?}");
+            let n = want.len();
+            let end = subtree_ends(&f);
+            let candidates: Vec<NodeId> = f
+                .preorder()
+                .filter(|&v| match (&match_syms, f.label(v)) {
+                    (None, _) => true,
+                    (Some(ms), FlatLabel::Sym(a)) => ms.contains(&a),
+                    (Some(_), _) => false,
+                })
+                .collect();
+            let prune = PruneInfo {
+                candidates: &candidates,
+                subtree_end: &end,
+            };
+            for pruned in [false, true] {
+                let run = |s: &mut EvalScratch, mode| {
+                    if pruned {
+                        compiled.eval_pruned_into(&f, &prune, s, mode).0
+                    } else {
+                        compiled.eval_into(&f, s, mode)
+                    }
+                };
+                let what = if pruned { "pruned" } else { "plain" };
+                assert_eq!(run(&mut s, EvalMode::Locate), EvalOutcome::Located(n));
+                assert_eq!(s.located(), &want[..], "{src}: {what} locate on {h:?}");
+                assert_eq!(
+                    run(&mut s, EvalMode::Count),
+                    EvalOutcome::Count(n as u64),
+                    "{src}: {what} count on {h:?}"
+                );
+                assert_eq!(
+                    run(&mut s, EvalMode::Exists),
+                    EvalOutcome::Exists(n > 0),
+                    "{src}: {what} exists on {h:?}"
+                );
+            }
+            assert_eq!(path.locate(&f), want, "{src}: PathExpr::locate on {h:?}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

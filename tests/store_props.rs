@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 
 use hedgex::core::path_expr::parse_path;
-use hedgex::hedge::{Hedge, SymId, Tree, VarId};
+use hedgex::hedge::{Hedge, NodeId, SymId, Tree, VarId};
 use hedgex::prelude::*;
 use hedgex_testkit::prop::shrink_vec;
 use hedgex_testkit::{forall, prop_assert_eq, zip2, Config, Gen, Rng};
@@ -108,10 +108,10 @@ fn named(docs: &[Hedge]) -> Vec<(String, FlatHedge)> {
 }
 
 /// Query pool: plain PHRs (exercising the candidate-range prune through
-/// `match_syms`) plus path expressions compiled the way `hxq --store`
-/// compiles them — universal PHR embedding for evaluation, structural
-/// `required_syms` facts for the postings quick-reject. `c` appears in no
-/// generated document, so its plans must prune whole corpora.
+/// `match_syms`) plus path expressions embedded as PHRs (universal sibling
+/// conditions) with structural `required_syms` facts for the postings
+/// quick-reject. `c` appears in no generated document, so its plans must
+/// prune whole corpora.
 fn plan_pool() -> Vec<Plan> {
     let mut ab = base_alphabet();
     let u = "(a<%z>|b<%z>|$v)*^z";
@@ -181,6 +181,53 @@ fn store_round_trips_through_bytes_on_random_corpora() {
 // Pruning soundness
 // ---------------------------------------------------------------------------
 
+/// Indexed answers of `query` over `store` equal `expected` (the plain
+/// match set of each document): per document in all three modes, and
+/// corpus-wide at `jobs` ∈ {1, 2}.
+fn check_store_query<Q: Query>(
+    store: &DocumentStore,
+    query: &Q,
+    expected: &[Vec<NodeId>],
+    s: &mut EvalScratch,
+    i: usize,
+) -> Result<(), String> {
+    let query = StoreQuery::new(store, query);
+    let mut candidates = Vec::new();
+    for (d, (doc, plain)) in store.docs().iter().zip(expected).enumerate() {
+        let outcome = query.eval_doc_into(doc, s, &mut candidates, EvalMode::Locate);
+        prop_assert_eq!(s.located(), &plain[..], "locate set, query {} doc {}", i, d);
+        prop_assert_eq!(outcome, EvalOutcome::Located(plain.len()));
+        prop_assert_eq!(
+            query.eval_doc_into(doc, s, &mut candidates, EvalMode::Count),
+            EvalOutcome::Count(plain.len() as u64),
+            "count, query {} doc {}",
+            i,
+            d
+        );
+        prop_assert_eq!(
+            query.eval_doc_into(doc, s, &mut candidates, EvalMode::Exists),
+            EvalOutcome::Exists(!plain.is_empty()),
+            "exists, query {} doc {}",
+            i,
+            d
+        );
+    }
+    for jobs in [1usize, 2] {
+        prop_assert_eq!(
+            &query.locate_corpus(jobs),
+            expected,
+            "locate_corpus, query {} jobs {}",
+            i,
+            jobs
+        );
+        let counts: Vec<u64> = expected.iter().map(|m| m.len() as u64).collect();
+        prop_assert_eq!(&query.count_corpus(jobs), &counts);
+        let some: Vec<bool> = expected.iter().map(|m| !m.is_empty()).collect();
+        prop_assert_eq!(&query.exists_corpus(jobs), &some);
+    }
+    Ok(())
+}
+
 /// The tentpole claim: indexed answers are bit-identical to the plain
 /// evaluators. Per document across all three modes, and corpus-wide at
 /// `jobs` ∈ {1, 2} — `Plan::locate_into` is the ground truth (itself
@@ -197,53 +244,15 @@ fn indexed_evaluation_agrees_with_plain_evaluation() {
         |(i, docs)| {
             let plan = &pool[*i];
             let store = DocumentStore::build(ab.clone(), named(docs));
-            let query = StoreQuery::new(&store, plan);
-            let s = &mut *scratch.borrow_mut();
-
-            let mut expected: Vec<Vec<_>> = Vec::new();
-            let mut candidates = Vec::new();
-            for (d, doc) in store.docs().iter().enumerate() {
-                let plain = plan.locate_into(doc.hedge(), s).to_vec();
-                let outcome = query.eval_doc_into(doc, s, &mut candidates, EvalMode::Locate);
-                prop_assert_eq!(
-                    s.located(),
-                    &plain[..],
-                    "locate set, query {} doc {} of {:?}",
-                    i,
-                    d,
-                    docs
-                );
-                prop_assert_eq!(outcome, EvalOutcome::Located(plain.len()));
-                prop_assert_eq!(
-                    query.eval_doc_into(doc, s, &mut candidates, EvalMode::Count),
-                    EvalOutcome::Count(plain.len() as u64),
-                    "count, query {} doc {}",
-                    i,
-                    d
-                );
-                prop_assert_eq!(
-                    query.eval_doc_into(doc, s, &mut candidates, EvalMode::Exists),
-                    EvalOutcome::Exists(!plain.is_empty()),
-                    "exists, query {} doc {}",
-                    i,
-                    d
-                );
-                expected.push(plain);
-            }
-
-            for jobs in [1usize, 2] {
-                prop_assert_eq!(
-                    &query.locate_corpus(jobs),
-                    &expected,
-                    "locate_corpus, query {} jobs {}",
-                    i,
-                    jobs
-                );
-                let counts: Vec<u64> = expected.iter().map(|m| m.len() as u64).collect();
-                prop_assert_eq!(&query.count_corpus(jobs), &counts);
-                let some: Vec<bool> = expected.iter().map(|m| !m.is_empty()).collect();
-                prop_assert_eq!(&query.exists_corpus(jobs), &some);
-            }
+            let expected: Vec<Vec<NodeId>> = store
+                .docs()
+                .iter()
+                .map(|doc| {
+                    plan.locate_into(doc.hedge(), &mut scratch.borrow_mut())
+                        .to_vec()
+                })
+                .collect();
+            check_store_query(&store, plan, &expected, &mut scratch.borrow_mut(), *i)?;
 
             // The index itself stays honest on these corpora: postings are
             // exactly the label-grouped preorder, so a symbol absent from
@@ -289,6 +298,60 @@ fn indexed_evaluation_agrees_with_plain_evaluation() {
                 );
             }
             Ok(())
+        },
+    );
+}
+
+/// The same claim for the path engine: `StoreQuery<CompiledPath>` (prune
+/// facts from the path itself, no PHR embedding) answers exactly like the
+/// path's PHR embedding run plainly by two-pass — an independent engine.
+/// `c` is interned after the store's documents, so its postings are empty
+/// everywhere. The paths marked narrow are compiled against an alphabet
+/// holding only `a`, so the documents' `b` takes the co-finite edge.
+#[test]
+fn indexed_path_evaluation_agrees_with_plain_evaluation() {
+    let ab = base_alphabet();
+    let mut qab = ab.clone();
+    let mut narrow = Alphabet::new();
+    assert_eq!(narrow.sym("a"), SymId(0));
+    let sources = [
+        ("a", false),
+        ("a b", false),
+        ("b* a", false),
+        ("(a|b)* b", false),
+        ("a c", false),
+        ("c*", false),
+        ("b a?", false),
+        ("a* a", true),
+        ("a a?", true),
+    ];
+    let syms: Vec<_> = ab.syms().collect();
+    let vars: Vec<_> = ab.vars().collect();
+    let z = qab.sub("props-universal");
+    let paths: Vec<(CompiledPath, Plan)> = sources
+        .iter()
+        .map(|&(src, is_narrow)| {
+            let q = if is_narrow { &mut narrow } else { &mut qab };
+            let path = parse_path(src, q).unwrap();
+            let compiled = CompiledPath::compile(&path, q);
+            (compiled, Plan::compile(&path.to_phr(&syms, &vars, z)))
+        })
+        .collect();
+    let scratch = RefCell::new(EvalScratch::new());
+    forall(
+        "store_path_pruning_soundness",
+        Config::with_cases(300),
+        &zip2(pick_query(paths.len()), arb_corpus()),
+        |(i, docs)| {
+            let (compiled, embedded) = &paths[*i];
+            let store = DocumentStore::build(ab.clone(), named(docs));
+            let s = &mut *scratch.borrow_mut();
+            let expected: Vec<Vec<NodeId>> = store
+                .docs()
+                .iter()
+                .map(|doc| embedded.locate_into(doc.hedge(), s).to_vec())
+                .collect();
+            check_store_query(&store, compiled, &expected, s, *i)
         },
     );
 }
