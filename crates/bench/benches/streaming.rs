@@ -1,6 +1,6 @@
 //! Experiment E9 — streaming evaluation: answering a query straight off
-//! the parser's event stream vs the materialized pipeline
-//! (`parse_xml` → `to_hedge` → `FlatHedge` → `locate`), on the same bytes.
+//! the parser's event stream vs the materialized pipeline (`parse_flat` →
+//! `locate`, the route `hxq FILE` takes), on the same bytes.
 //!
 //! Two claims are on trial. Throughput: streaming skips tree construction
 //! and flattening entirely, so its bytes/sec should beat the materialized
@@ -11,6 +11,11 @@
 //! pathological element chain it tracks the depth exactly. The `exists`
 //! row shows the third win: the parse aborts at the first match, so the
 //! measured "whole document" cost collapses to a prefix.
+//!
+//! The `ingest_tree` / `ingest_events` pair times materialized ingest
+//! alone, on the same documents: the reference tree route (`parse_xml` →
+//! `to_hedge` → `FlatHedge::from_hedge`) against the one-pass event route
+//! (`parse_flat`), after checking that both build the same hedge.
 
 use hedgex_testkit::{Bench, BenchmarkId, Json, Throughput};
 
@@ -20,7 +25,7 @@ use hedgex_core::phr::parse_phr;
 use hedgex_core::two_pass;
 use hedgex_core::CompiledPhr;
 use hedgex_hedge::FlatHedge;
-use hedgex_stream::{stream_xml, PathStream, PhrStream, StreamStats};
+use hedgex_stream::{parse_flat, stream_xml, PathStream, PhrStream, StreamStats};
 use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
 
 const PATH_QUERY: &str = "article section* figure";
@@ -47,7 +52,12 @@ fn main() {
 
         // Correctness before time: streamed == materialized on both query
         // classes, or the throughput numbers mean nothing.
-        let flat_mat = FlatHedge::from_hedge(&to_hedge(&parse_xml(&src).unwrap(), &mut ab, cfg));
+        let flat_mat = parse_flat(&src, &mut ab, cfg).expect("well-formed");
+        assert_eq!(
+            flat_mat,
+            FlatHedge::from_hedge(&to_hedge(&parse_xml(&src).unwrap(), &mut ab, cfg)),
+            "ingest: event route != tree route"
+        );
         let (path_hits, path_stats) = {
             let mut sink = PathStream::new(&path, &ab);
             stream_xml(&src, &mut ab, cfg, &mut sink).expect("well-formed");
@@ -71,13 +81,28 @@ fn main() {
         drop(flat_mat);
 
         group.throughput(Throughput::Bytes(src.len() as u64));
+        group.bench_with_input(BenchmarkId::new("ingest_tree", w.nodes), &src, |b, src| {
+            b.iter(|| {
+                let flat = FlatHedge::from_hedge(&to_hedge(&parse_xml(src).unwrap(), &mut ab, cfg));
+                std::hint::black_box(flat.num_nodes())
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("ingest_events", w.nodes),
+            &src,
+            |b, src| {
+                b.iter(|| {
+                    let flat = parse_flat(src, &mut ab, cfg).expect("well-formed");
+                    std::hint::black_box(flat.num_nodes())
+                })
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("materialized_path", w.nodes),
             &src,
             |b, src| {
                 b.iter(|| {
-                    let flat =
-                        FlatHedge::from_hedge(&to_hedge(&parse_xml(src).unwrap(), &mut ab, cfg));
+                    let flat = parse_flat(src, &mut ab, cfg).expect("well-formed");
                     std::hint::black_box(path.locate(&flat).len())
                 })
             },
@@ -98,8 +123,7 @@ fn main() {
             &src,
             |b, src| {
                 b.iter(|| {
-                    let flat =
-                        FlatHedge::from_hedge(&to_hedge(&parse_xml(src).unwrap(), &mut ab, cfg));
+                    let flat = parse_flat(src, &mut ab, cfg).expect("well-formed");
                     std::hint::black_box(two_pass::locate(&compiled, &flat).len())
                 })
             },

@@ -117,10 +117,11 @@ static analysis (no document involved):
   exit code: 0 satisfiable, 1 provably empty, 2 usage error
 
 persistent corpora:
-  hxq index DIR --out STORE [--attrs]
+  hxq index DIR --out STORE [--attrs] [--trace PATH]
     parse every *.xml file in DIR (sorted by name) and write them to STORE
     as one versioned, checksummed store; '--store' rebuilds each
-    document's structural index when it loads STORE
+    document's structural index when it loads STORE. '--trace' writes
+    the span timeline as Chrome trace-event JSON
   exit code: 0 ok, 1 i/o or parse error, 2 usage error";
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -705,16 +706,15 @@ fn run_query(args: &Args) -> Result<ExitCode, String> {
     }
 
     let mut ab = Alphabet::new();
-    let doc = parse_xml(&src).map_err(|e| e.to_string())?;
-    let hedge = to_hedge(
-        &doc,
+    let flat = parse_flat(
+        &src,
         &mut ab,
         HedgeConfig {
             keep_text: true,
             keep_attrs: args.keep_attrs,
         },
-    );
-    let flat = FlatHedge::from_hedge(&hedge);
+    )
+    .map_err(|e| e.to_string())?;
 
     let subhedge = match args.subhedge.as_deref() {
         Some(e1) => match hedgex::core::parse_hre(e1, &mut ab) {
@@ -1039,12 +1039,14 @@ struct IndexArgs {
     dir: String,
     out: String,
     keep_attrs: bool,
+    trace: Option<String>,
 }
 
 fn parse_index_args(mut it: impl Iterator<Item = String>) -> Result<IndexArgs, ExitCode> {
     let mut dir: Option<String> = None;
     let mut out: Option<String> = None;
     let mut keep_attrs = false;
+    let mut trace: Option<String> = None;
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
             it.next()
@@ -1053,6 +1055,7 @@ fn parse_index_args(mut it: impl Iterator<Item = String>) -> Result<IndexArgs, E
         match arg.as_str() {
             "--out" => out = Some(value("--out")?),
             "--attrs" => keep_attrs = true,
+            "--trace" => trace = Some(value("--trace")?),
             "--help" | "-h" => {
                 println!("{HELP}");
                 return Err(ExitCode::SUCCESS);
@@ -1074,6 +1077,7 @@ fn parse_index_args(mut it: impl Iterator<Item = String>) -> Result<IndexArgs, E
         dir,
         out,
         keep_attrs,
+        trace,
     })
 }
 
@@ -1103,9 +1107,8 @@ fn run_index(args: IndexArgs) -> Result<ExitCode, String> {
     let mut docs: Vec<(String, FlatHedge)> = Vec::with_capacity(files.len());
     for (name, path) in files {
         let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = parse_xml(&src).map_err(|e| format!("{name}: {e}"))?;
-        let hedge = to_hedge(&doc, &mut ab, cfg);
-        docs.push((name, FlatHedge::from_hedge(&hedge)));
+        let flat = parse_flat(&src, &mut ab, cfg).map_err(|e| format!("{name}: {e}"))?;
+        docs.push((name, flat));
     }
     let store = DocumentStore::build(ab, docs);
     store
@@ -1117,6 +1120,9 @@ fn run_index(args: IndexArgs) -> Result<ExitCode, String> {
         store.total_nodes(),
         args.out
     );
+    if let Some(path) = &args.trace {
+        write_trace(path)?;
+    }
     Ok(ExitCode::SUCCESS)
 }
 

@@ -1,6 +1,6 @@
 //! Push-based streaming evaluation: answer queries *during* the XML parse.
 //!
-//! The materialized pipeline (`parse_xml` → `to_hedge` → `FlatHedge` →
+//! The materialized pipeline (XML → `FlatHedge` via [`parse_flat`] →
 //! `locate`) holds the whole document in memory — cost proportional to
 //! document *size*. Both of the paper's evaluators admit a push-based
 //! formulation whose working set is proportional to document *depth*:
@@ -17,6 +17,11 @@
 //!   parent, elder/younger ≡-class per node); everything else — frames,
 //!   child-state words, scratch — is bounded by the deepest open path.
 //!
+//! The materialized pipeline is fed the same way: [`parse_flat`] builds
+//! the `FlatHedge` from the same events, so every ingest route — streamed
+//! or materialized — runs the one event parser and the one `to_hedge`
+//! mapping in [`XmlDriver`].
+//!
 //! Both evaluators implement [`HedgeSink`], fed either by
 //! [`stream_xml`] (XML text → events, via `hedgex-xml`'s event parser) or
 //! by [`replay_flat`] (an already-materialized [`hedgex_hedge::FlatHedge`]
@@ -31,10 +36,12 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
+pub mod flat;
 pub mod path;
 pub mod phr;
 
 pub use driver::{replay_flat, stream_xml, XmlDriver};
+pub use flat::parse_flat;
 pub use path::PathStream;
 pub use phr::PhrStream;
 

@@ -10,7 +10,17 @@
 //!
 //! Supported XML subset: elements, attributes, text, comments, processing
 //! instructions, CDATA, the five predefined entities and numeric character
-//! references. No DTDs; namespaces are treated as plain name characters.
+//! references; namespaces are treated as plain name characters. The prolog
+//! may open with a UTF-8 byte-order mark and hold one `<!DOCTYPE …>` before
+//! the first root; the declaration (internal subset included) is skipped,
+//! not interpreted. A DOCTYPE anywhere else, inside an element included,
+//! is still rejected.
+//!
+//! Two parsers share one scanner: the event parser [`parse_xml_stream`]
+//! feeds every ingest route (`hedgex_stream::parse_flat` builds the
+//! evaluators' `FlatHedge` from its events in one pass), and the tree
+//! parser [`parse_xml`] with [`to_hedge`] is kept as the reference the
+//! differential tests hold that route to.
 //!
 //! Mapping (configurable via [`HedgeConfig`]):
 //!

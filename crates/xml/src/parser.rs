@@ -4,7 +4,18 @@
 //! every substrate the paper needs from scratch. Covers the features real
 //! document corpora exercise structurally — elements, attributes, text,
 //! comments, PIs, CDATA, predefined and numeric entities — and rejects
-//! malformed input with byte-accurate errors. DTDs are not supported.
+//! malformed input with byte-accurate errors.
+//!
+//! The prolog may start with a UTF-8 byte-order mark and may hold one
+//! `<!DOCTYPE …>` before the first root element. The declaration,
+//! internal subset included, is skipped, not interpreted: entities it
+//! declares are not expanded. A DOCTYPE anywhere else (a second one, one
+//! after a root, or one inside an element) is rejected.
+//!
+//! Scanning works on byte runs: character data is found with one byte
+//! scan to the next `<` or `&` and appended as a slice, and names and
+//! whitespace take an ASCII byte path, decoding a `char` only at
+//! non-ASCII bytes.
 
 /// A parsed XML node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,11 +55,7 @@ impl std::error::Error for XmlError {}
 /// consumed and dropped.
 pub fn parse_xml(src: &str) -> Result<Vec<XmlNode>, XmlError> {
     let _span = hedgex_obs::span("xml.parse");
-    let mut p = P {
-        src,
-        pos: 0,
-        tally: Tally::default(),
-    };
+    let mut p = P::new(src);
     let nodes = p.nodes(None)?;
     // Tallied locally during the parse, flushed once here.
     hedgex_obs::counter_add("xml.parse.bytes", src.len() as u64);
@@ -131,11 +138,7 @@ pub fn parse_xml_stream<S: StreamSink + ?Sized>(
     sink: &mut S,
 ) -> Result<StreamOutcome, XmlError> {
     let _span = hedgex_obs::span("xml.parse_stream");
-    let mut p = P {
-        src,
-        pos: 0,
-        tally: Tally::default(),
-    };
+    let mut p = P::new(src);
     let outcome = p.stream(sink);
     hedgex_obs::counter_add("xml.parse.bytes", p.pos as u64);
     hedgex_obs::counter_add("xml.parse.elements", p.tally.elements);
@@ -156,7 +159,21 @@ struct Tally {
 }
 
 /// (name, attributes in document order, self-closing?) scanned from a start tag.
-type OpenTag = (String, Vec<(String, String)>, bool);
+type OpenTag<'a> = (&'a str, Vec<(String, String)>, bool);
+
+/// The UTF-8 byte-order mark, skipped at the start of the input.
+const BOM: &str = "\u{FEFF}";
+
+/// `char::is_whitespace` on an ASCII byte: space and `\t` through `\r`
+/// (vertical tab and form feed included, as `char::is_whitespace` has them).
+fn is_ascii_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// A name character, on an ASCII byte.
+fn is_ascii_name(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':' | b'@' | b'#')
+}
 
 struct P<'a> {
     src: &'a str,
@@ -165,6 +182,14 @@ struct P<'a> {
 }
 
 impl<'a> P<'a> {
+    /// A scanner at the start of `src`, past a leading byte-order mark.
+    fn new(src: &'a str) -> P<'a> {
+        P {
+            src,
+            pos: if src.starts_with(BOM) { BOM.len() } else { 0 },
+            tally: Tally::default(),
+        }
+    }
     fn rest(&self) -> &'a str {
         &self.src[self.pos..]
     }
@@ -190,10 +215,77 @@ impl<'a> P<'a> {
             msg: msg.into(),
         }
     }
+    /// The byte at the cursor, if any.
+    fn byte(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
+        while let Some(b) = self.byte() {
+            if is_ascii_ws(b) {
+                self.pos += 1;
+            } else if b.is_ascii() {
+                return;
+            } else {
+                match self.peek() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return,
+                }
+            }
         }
+    }
+
+    /// Advance past the run of bytes before the next `stop` byte or `&`
+    /// (or the end of input) and return it. Both stop bytes are ASCII, so
+    /// the run ends on a char boundary.
+    fn run_until(&mut self, stop: u8) -> &'a str {
+        let rest = &self.src.as_bytes()[self.pos..];
+        let n = rest
+            .iter()
+            .position(|&b| b == stop || b == b'&')
+            .unwrap_or(rest.len());
+        let run = &self.src[self.pos..self.pos + n];
+        self.pos += n;
+        run
+    }
+
+    /// Skip a `<!DOCTYPE …>` declaration from its `<`, internal subset
+    /// included. Quoted literals, and comments and PIs inside the subset,
+    /// may hold `>` or `]`; they are skipped whole. Nothing is interpreted.
+    fn doctype(&mut self) -> Result<(), XmlError> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        let mut i = self.pos + "<!DOCTYPE".len();
+        let mut in_subset = false;
+        let skip_to =
+            |close: &str, from: usize| src[from..].find(close).map(|end| from + end + close.len());
+        while let Some(&b) = bytes.get(i) {
+            let next = match b {
+                b'"' | b'\'' => bytes[i + 1..]
+                    .iter()
+                    .position(|&c| c == b)
+                    .map(|n| i + n + 2),
+                b'[' if !in_subset => {
+                    in_subset = true;
+                    Some(i + 1)
+                }
+                b']' if in_subset => {
+                    in_subset = false;
+                    Some(i + 1)
+                }
+                b'>' if !in_subset => {
+                    self.pos = i + 1;
+                    return Ok(());
+                }
+                b'<' if in_subset && bytes[i..].starts_with(b"<!--") => skip_to("-->", i + 4),
+                b'<' if in_subset && bytes[i..].starts_with(b"<?") => skip_to("?>", i + 2),
+                _ => Some(i + 1),
+            };
+            match next {
+                Some(n) => i = n,
+                None => break,
+            }
+        }
+        Err(self.err("unterminated DOCTYPE"))
     }
 
     /// Skip comments, PIs and the XML declaration between nodes at the top
@@ -220,17 +312,25 @@ impl<'a> P<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
-        while matches!(self.peek(), Some(c)
-            if c.is_alphanumeric() || "_-.:@#".contains(c))
-        {
-            self.bump();
+        while let Some(b) = self.byte() {
+            if b.is_ascii() {
+                if !is_ascii_name(b) {
+                    break;
+                }
+                self.pos += 1;
+            } else {
+                match self.peek() {
+                    Some(c) if c.is_alphanumeric() => self.pos += c.len_utf8(),
+                    _ => break,
+                }
+            }
         }
         if self.pos == start {
             Err(self.err("expected a name"))
         } else {
-            Ok(self.src[start..self.pos].to_string())
+            Ok(&self.src[start..self.pos])
         }
     }
 
@@ -238,6 +338,8 @@ impl<'a> P<'a> {
     fn nodes(&mut self, parent: Option<&str>) -> Result<Vec<XmlNode>, XmlError> {
         let mut out: Vec<XmlNode> = Vec::new();
         let mut text = String::new();
+        // One DOCTYPE, at the top level, before the first root.
+        let mut doctype_allowed = parent.is_none();
         macro_rules! flush_text {
             () => {
                 if !text.is_empty() {
@@ -247,7 +349,7 @@ impl<'a> P<'a> {
             };
         }
         loop {
-            match self.peek() {
+            match self.byte() {
                 None => {
                     if parent.is_some() {
                         return Err(self.err("unexpected end of input inside element"));
@@ -255,7 +357,7 @@ impl<'a> P<'a> {
                     flush_text!();
                     return Ok(out);
                 }
-                Some('<') => {
+                Some(b'<') => {
                     if self.rest().starts_with("</") {
                         flush_text!();
                         return Ok(out);
@@ -285,17 +387,23 @@ impl<'a> P<'a> {
                         }
                         continue;
                     }
+                    if doctype_allowed && self.rest().starts_with("<!DOCTYPE") {
+                        self.doctype()?;
+                        doctype_allowed = false;
+                        continue;
+                    }
                     if self.rest().starts_with("<!") {
                         return Err(self.err("DTD declarations are not supported"));
                     }
                     flush_text!();
+                    doctype_allowed = false;
                     out.push(self.element()?);
                 }
-                Some('&') => {
+                Some(b'&') => {
                     text.push(self.entity()?);
                 }
                 Some(_) => {
-                    text.push(self.bump().expect("peeked"));
+                    text.push_str(self.run_until(b'<'));
                 }
             }
         }
@@ -306,8 +414,10 @@ impl<'a> P<'a> {
     /// stack space — unlike the recursive tree parser, which is kept
     /// recursive on purpose as an independent reference implementation.
     fn stream<S: StreamSink + ?Sized>(&mut self, sink: &mut S) -> Result<StreamOutcome, XmlError> {
-        let mut open: Vec<String> = Vec::new();
+        let mut open: Vec<&str> = Vec::new();
         let mut text = String::new();
+        // One DOCTYPE, before the first root.
+        let mut doctype_allowed = true;
         // Non-whitespace character data between roots is only reported
         // after the rest of the document parses, matching `parse_xml`
         // (whose roots filter runs last) — remember it, keep scanning.
@@ -335,7 +445,7 @@ impl<'a> P<'a> {
             };
         }
         loop {
-            match self.peek() {
+            match self.byte() {
                 None => {
                     if !open.is_empty() {
                         return Err(self.err("unexpected end of input inside element"));
@@ -349,7 +459,7 @@ impl<'a> P<'a> {
                     }
                     return Ok(StreamOutcome::Finished);
                 }
-                Some('<') => {
+                Some(b'<') => {
                     if self.rest().starts_with("</") {
                         if open.is_empty() {
                             // Same position and message `parse_xml` produces
@@ -358,7 +468,7 @@ impl<'a> P<'a> {
                         }
                         flush_text!();
                         let name = open.pop().expect("checked non-empty");
-                        self.close_tag(&name)?;
+                        self.close_tag(name)?;
                         emit!(sink.close_element());
                         continue;
                     }
@@ -387,23 +497,29 @@ impl<'a> P<'a> {
                         }
                         continue;
                     }
+                    if doctype_allowed && self.rest().starts_with("<!DOCTYPE") {
+                        self.doctype()?;
+                        doctype_allowed = false;
+                        continue;
+                    }
                     if self.rest().starts_with("<!") {
                         return Err(self.err("DTD declarations are not supported"));
                     }
                     flush_text!();
+                    doctype_allowed = false;
                     let (name, attrs, self_closing) = self.open_tag()?;
-                    emit!(sink.open_element(&name, &attrs));
+                    emit!(sink.open_element(name, &attrs));
                     if self_closing {
                         emit!(sink.close_element());
                     } else {
                         open.push(name);
                     }
                 }
-                Some('&') => {
+                Some(b'&') => {
                     text.push(self.entity()?);
                 }
                 Some(_) => {
-                    text.push(self.bump().expect("peeked"));
+                    text.push_str(self.run_until(b'<'));
                 }
             }
         }
@@ -411,17 +527,15 @@ impl<'a> P<'a> {
 
     fn element(&mut self) -> Result<XmlNode, XmlError> {
         let (name, attrs, self_closing) = self.open_tag()?;
-        if self_closing {
-            return Ok(XmlNode::Element {
-                name,
-                attrs,
-                children: Vec::new(),
-            });
-        }
-        let children = self.nodes(Some(&name))?;
-        self.close_tag(&name)?;
+        let children = if self_closing {
+            Vec::new()
+        } else {
+            let children = self.nodes(Some(name))?;
+            self.close_tag(name)?;
+            children
+        };
         Ok(XmlNode::Element {
-            name,
+            name: name.to_string(),
             attrs,
             children,
         })
@@ -430,7 +544,7 @@ impl<'a> P<'a> {
     /// Scan an opening tag from its `<`: name, attributes, and whether it
     /// was self-closing. Shared by the tree parser and the event parser so
     /// both report identical errors at identical byte positions.
-    fn open_tag(&mut self) -> Result<OpenTag, XmlError> {
+    fn open_tag(&mut self) -> Result<OpenTag<'a>, XmlError> {
         assert!(self.eat("<"));
         self.tally.elements += 1;
         let name = self.name()?;
@@ -457,23 +571,24 @@ impl<'a> P<'a> {
                     }
                     self.skip_ws();
                     let quote = match self.bump() {
-                        Some(q @ ('"' | '\'')) => q,
+                        Some('"') => b'"',
+                        Some('\'') => b'\'',
                         _ => return Err(self.err("expected quoted attribute value")),
                     };
                     let mut v = String::new();
                     loop {
-                        match self.peek() {
+                        match self.byte() {
                             None => return Err(self.err("unterminated attribute value")),
-                            Some(c) if c == quote => {
-                                self.bump();
+                            Some(b) if b == quote => {
+                                self.pos += 1;
                                 break;
                             }
-                            Some('&') => v.push(self.entity()?),
-                            Some(_) => v.push(self.bump().expect("peeked")),
+                            Some(b'&') => v.push(self.entity()?),
+                            Some(_) => v.push_str(self.run_until(quote)),
                         }
                     }
                     self.tally.attrs += 1;
-                    attrs.push((k, v));
+                    attrs.push((k.to_string(), v));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -694,6 +809,78 @@ mod tests {
             StreamOutcome::Finished
         );
         assert_eq!(r.events.len(), 2 * depth);
+    }
+
+    #[test]
+    fn prolog_bom_and_doctype_are_skipped() {
+        let header = "\u{FEFF}<?xml version=\"1.0\"?>\n<!DOCTYPE article PUBLIC \"-//OASIS//DTD DocBook XML V4.5//EN\" \"docbookx.dtd\" [\n  <!ENTITY v \"1.0 > 0.9\">\n  <!-- ] > -->\n  <?pi ]>?>\n]>\n";
+        for body in ["<a><b/></a>", "<a/><a/>"] {
+            let src = format!("{header}{body}");
+            let plain = parse_xml(body).unwrap();
+            assert_eq!(parse_xml(&src).unwrap(), plain, "{src:?}");
+            let mut r = Recorder::new();
+            assert_eq!(
+                parse_xml_stream(&src, &mut r).unwrap(),
+                StreamOutcome::Finished
+            );
+            let mut plain_events = Recorder::new();
+            parse_xml_stream(body, &mut plain_events).unwrap();
+            assert_eq!(r.events, plain_events.events);
+        }
+        // Error positions after the prolog are byte offsets into the input.
+        let prolog = "\u{FEFF}<!DOCTYPE a>";
+        let e = parse_xml(&format!("{prolog}<a></b>")).unwrap_err();
+        let plain = parse_xml("<a></b>").unwrap_err();
+        assert_eq!((e.pos, e.msg), (plain.pos + prolog.len(), plain.msg));
+    }
+
+    #[test]
+    fn doctype_outside_the_prolog_is_rejected() {
+        for (src, pos, msg) in [
+            (
+                "<a><!DOCTYPE x></a>",
+                3,
+                "DTD declarations are not supported",
+            ),
+            ("<a/><!DOCTYPE x>", 4, "DTD declarations are not supported"),
+            (
+                "<!DOCTYPE x><!DOCTYPE y><x/>",
+                12,
+                "DTD declarations are not supported",
+            ),
+            (
+                "<!DOCTYPE x [ <!ENTITY e \"]>\"> <x/>",
+                0,
+                "unterminated DOCTYPE",
+            ),
+            ("a\u{FEFF}<a/>", 0, "character data at the top level"),
+        ] {
+            let e = parse_xml(src).unwrap_err();
+            assert_eq!((e.pos, e.msg.as_str()), (pos, msg), "{src:?}");
+            let ev = parse_xml_stream(src, &mut Recorder::new()).unwrap_err();
+            assert_eq!(ev, e, "{src:?}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_names_whitespace_and_text_scan_like_ascii() {
+        let src = "<é\u{3000}k\u{A0}=\u{2003}'ü &amp; ß'>x\u{1F600}&lt;y<ñ/>z</é\u{85}>";
+        let doc = parse_xml(src).unwrap();
+        assert_eq!(
+            doc,
+            vec![XmlNode::Element {
+                name: "é".into(),
+                attrs: vec![("k".into(), "ü & ß".into())],
+                children: vec![
+                    XmlNode::Text("x\u{1F600}<y".into()),
+                    el("ñ", vec![]),
+                    XmlNode::Text("z".into()),
+                ],
+            }]
+        );
+        // A non-name, non-whitespace char ends a name at its first byte.
+        let e = parse_xml("<a\u{A9}/>").unwrap_err();
+        assert_eq!((e.pos, e.msg.as_str()), (2, "expected a name"));
     }
 
     #[test]

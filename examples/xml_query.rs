@@ -33,9 +33,7 @@ const DOC: &str = r#"
 
 fn main() {
     let mut ab = Alphabet::new();
-    let xml = parse_xml(DOC).expect("well-formed XML");
-    let hedge = to_hedge(&xml, &mut ab, HedgeConfig::default());
-    let flat = FlatHedge::from_hedge(&hedge);
+    let flat = parse_flat(DOC, &mut ab, HedgeConfig::default()).expect("well-formed XML");
     println!("document has {} nodes\n", flat.num_nodes());
 
     // Universal sibling condition over the document's element names + text.

@@ -230,6 +230,182 @@ fn trace_json_on_docbook_is_valid_chrome_trace() {
     std::fs::remove_file(&trace_path).ok();
 }
 
+/// The names of the spans in a Chrome trace written by `--trace`.
+fn trace_span_names(path: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    Json::parse(&text)
+        .expect("trace JSON parses")
+        .as_arr()
+        .expect("trace is a JSON array")
+        .iter()
+        .map(|e| {
+            e.get("name")
+                .and_then(Json::as_str)
+                .expect("event name")
+                .to_string()
+        })
+        .collect()
+}
+
+/// `hxq FILE` and `hxq index` ingest through one named phase: one
+/// `xml.ingest` span per document, and no tree-parser span.
+#[test]
+fn trace_shows_ingest_as_one_phase_on_file_and_index_routes() {
+    let dir = scratch("ingest-trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, doc) in ["<r><a/></r>", "<r><a><b/></a></r>"].iter().enumerate() {
+        std::fs::write(dir.join(format!("d{i}.xml")), doc).unwrap();
+    }
+    let trace = scratch("ingest-trace.json");
+    let file = dir.join("d1.xml");
+    let store = scratch("ingest-trace.hxst");
+    for (args, docs) in [
+        (vec!["--count", "--path", "r a", file.to_str().unwrap()], 1),
+        (
+            vec![
+                "index",
+                dir.to_str().unwrap(),
+                "--out",
+                store.to_str().unwrap(),
+            ],
+            2,
+        ),
+    ] {
+        let mut args = args;
+        args.extend(["--trace", trace.to_str().unwrap()]);
+        let out = hxq(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let names = trace_span_names(&trace);
+        assert!(!names.iter().any(|n| n == "xml.parse"), "{names:?}");
+        if hedgex::obs::is_enabled() {
+            let ingests = names.iter().filter(|n| *n == "xml.ingest").count();
+            assert_eq!(ingests, docs, "{args:?}: {names:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&store).ok();
+}
+
+/// A 200 000-deep element chain: every route ingests and evaluates it
+/// without recursing per level, so none overflows the main thread's stack,
+/// and all count the same nodes.
+#[test]
+fn deep_chain_counts_on_file_stream_index_and_store_routes() {
+    const DEPTH: usize = 200_000;
+    let dir = scratch("deep-chain");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("chain.xml");
+    std::fs::write(
+        &file,
+        format!("{}{}", "<a>".repeat(DEPTH), "</a>".repeat(DEPTH)),
+    )
+    .unwrap();
+    let file = file.to_str().unwrap();
+    let store = scratch("deep-chain.hxst");
+    let store = store.to_str().unwrap();
+    let expected = format!("{DEPTH}\n");
+
+    let streamed = hxq(&["--stream", "--count", "--path", "a* a", file]);
+    assert_eq!(streamed.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&streamed.stdout), expected);
+
+    let materialized = hxq(&["--count", "--path", "a* a", file]);
+    assert_eq!(
+        materialized.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&materialized.stderr)
+    );
+    assert_eq!(materialized.stdout, streamed.stdout);
+
+    let indexed = hxq(&["index", dir.to_str().unwrap(), "--out", store]);
+    assert_eq!(
+        indexed.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&indexed.stderr)
+    );
+    let from_store = hxq(&["--store", store, "--count", "--path", "a* a"]);
+    assert_eq!(
+        from_store.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&from_store.stderr)
+    );
+    assert_eq!(from_store.stdout, streamed.stdout);
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(store).ok();
+}
+
+/// A DocBook-style header — byte-order mark, XML declaration, and a
+/// DOCTYPE with an internal subset — is skipped on every route, which then
+/// answers as on the bare document. A DOCTYPE inside an element is still
+/// an error.
+#[test]
+fn docbook_prolog_is_accepted_on_every_route() {
+    let header = "\u{FEFF}<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
+        <!DOCTYPE article PUBLIC \"-//OASIS//DTD DocBook XML V4.5//EN\"\n  \
+        \"http://www.oasis-open.org/docbook/xml/4.5/docbookx.dtd\" [\n  \
+        <!ENTITY version \"4.5 > 4.4\">\n  <!ENTITY % local SYSTEM \"local.ent\">\n]>\n";
+    let body = "<article><section><figure/><table/></section><figure/></article>";
+    let dir = scratch("prolog");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bare = dir.join("bare.xml");
+    let full = dir.join("full.xml");
+    std::fs::write(&bare, body).unwrap();
+    std::fs::write(&full, format!("{header}{body}")).unwrap();
+    let (bare, full) = (bare.to_str().unwrap(), full.to_str().unwrap());
+
+    for flags in [
+        &["--path", "article section* figure"][..],
+        &["--stream", "--count", "--path", "article section* figure"][..],
+    ] {
+        let want = hxq(&[flags, &[bare]].concat());
+        let got = hxq(&[flags, &[full]].concat());
+        assert_eq!(
+            got.status.code(),
+            Some(0),
+            "{flags:?}: {}",
+            String::from_utf8_lossy(&got.stderr)
+        );
+        assert_eq!(got.stdout, want.stdout, "{flags:?}");
+    }
+    let store = scratch("prolog.hxst");
+    let out = hxq(&[
+        "index",
+        dir.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = hxq(&[
+        "--store",
+        store.to_str().unwrap(),
+        "--count",
+        "--path",
+        "article section* figure",
+    ]);
+    // Both documents, two figures each.
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "4\n");
+
+    let inner = dir.join("inner.xml");
+    std::fs::write(&inner, "<a><!DOCTYPE a></a>").unwrap();
+    let out = hxq(&["--count", "--path", "a", inner.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .contains("XML error at byte 3: DTD declarations are not supported"));
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&store).ok();
+}
+
 #[test]
 fn stream_metrics_json_reports_the_streaming_run() {
     // PR 8 lifted the PR 7 restriction: --stream + --metrics-json now

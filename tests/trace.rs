@@ -170,3 +170,38 @@ fn single_job_runs_inline_with_task_spans() {
         "jobs=1 is the calling thread, no pool"
     );
 }
+
+/// Materialized ingest is one named phase: `parse_flat` opens an
+/// `xml.ingest` span that holds the event scan, and counts the bytes it
+/// read and the nodes it built.
+#[test]
+fn parse_flat_records_one_ingest_span_with_byte_and_node_counts() {
+    if !obs::is_enabled() {
+        return;
+    }
+    let _g = lock();
+    obs::reset();
+    let src = "<doc><sec>text<fig/></sec><sec/></doc>";
+    let mut ab = Alphabet::new();
+    let flat = parse_flat(src, &mut ab, HedgeConfig::default()).unwrap();
+    assert_eq!(flat.num_nodes(), 5);
+
+    let spans = obs::spans();
+    let ingest: Vec<_> = spans.iter().filter(|s| s.name == "xml.ingest").collect();
+    assert_eq!(ingest.len(), 1, "one ingest span per document");
+    let by_id: HashMap<u64, &obs::SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+    let scan = spans
+        .iter()
+        .find(|s| s.name == "xml.parse_stream")
+        .expect("the event scan runs inside ingest");
+    assert_eq!(
+        scan.parent.and_then(|p| by_id.get(&p)).map(|s| s.name),
+        Some("xml.ingest")
+    );
+    assert!(
+        spans.iter().all(|s| s.name != "xml.parse"),
+        "the tree parser is not on the ingest route"
+    );
+    assert_eq!(obs::counter_value("xml.ingest.bytes"), src.len() as u64);
+    assert_eq!(obs::counter_value("xml.ingest.nodes"), 5);
+}

@@ -5,7 +5,9 @@
 //! same message at the same byte position, and nothing panics. The
 //! streaming evaluators ride along: every generated input also runs
 //! through `XmlDriver` → `PhrStream`, which must never panic and must
-//! agree with the materialized answer whenever the input parses.
+//! agree with the materialized answer whenever the input parses. So does
+//! the one-pass ingest route `parse_flat`, held to the reference tree
+//! route `parse_xml` → `to_hedge` → `FlatHedge::from_hedge`.
 
 use hedgex::core::CompiledPhr;
 use hedgex::prelude::*;
@@ -274,6 +276,14 @@ fn pinned_hostile_inputs_fail_identically() {
         "<a/>trailing",
         "<?xml version=\"1.0\"?><a/>",
         "<a>x</a><a>y</a>",
+        "\u{FEFF}<a>x</a>",
+        "\u{FEFF}<?xml version=\"1.0\"?><!DOCTYPE a SYSTEM \"a.dtd\" [ <!ENTITY e \"]>\"> <!-- ]> --> ]><a/>",
+        "<!DOCTYPE a><a/>",
+        "<!DOCTYPE a [ <!ENTITY e \"x\">",
+        "<!DOCTYPE a><!DOCTYPE a><a/>",
+        "<a/><!DOCTYPE a>",
+        "<a><!DOCTYPE a></a>",
+        "\u{FEFF}\u{FEFF}<a/>",
     ];
     for src in cases {
         let tree = parse_xml(src);
@@ -287,4 +297,64 @@ fn pinned_hostile_inputs_fail_identically() {
             _ => panic!("parsers disagree on {src:?}: tree={tree:?} stream={streamed:?}"),
         }
     }
+}
+
+/// Prologs the differential test prepends to every generated input: none,
+/// a byte-order mark, and a DocBook-style header with an internal subset.
+const PROLOGS: [&str; 3] = [
+    "",
+    "\u{FEFF}",
+    "\u{FEFF}<?xml version=\"1.0\"?>\n<!DOCTYPE a PUBLIC \"-//X//Y//EN\" \"a.dtd\" [\n  <!ENTITY e \"1 > 0\">\n]>\n",
+];
+
+/// The one-pass ingest route equals the reference tree route on every
+/// input: the same flat hedge and the same alphabet on success, under
+/// every text and attribute mapping, and the same error at the same byte
+/// on failure.
+#[test]
+fn parse_flat_equals_the_tree_route_on_hostile_input() {
+    forall(
+        "parse_flat_vs_tree_route",
+        Config::with_cases(300),
+        &arb_input(),
+        |body| {
+            for prolog in PROLOGS {
+                let src = format!("{prolog}{body}");
+                for (keep_text, keep_attrs) in [(true, false), (true, true), (false, true)] {
+                    let cfg = HedgeConfig {
+                        keep_text,
+                        keep_attrs,
+                    };
+                    let mut ab_events = Alphabet::new();
+                    let events = parse_flat(&src, &mut ab_events, cfg);
+                    let mut ab_tree = Alphabet::new();
+                    let tree = parse_xml(&src)
+                        .map(|nodes| FlatHedge::from_hedge(&to_hedge(&nodes, &mut ab_tree, cfg)));
+                    match (events, tree) {
+                        (Ok(e), Ok(t)) => {
+                            prop_assert_eq!(&e, &t, "hedges differ on {:?} ({:?})", src, cfg);
+                            prop_assert_eq!(
+                                &ab_events,
+                                &ab_tree,
+                                "alphabets differ on {:?} ({:?})",
+                                src,
+                                cfg
+                            );
+                        }
+                        (Err(e), Err(t)) => {
+                            prop_assert_eq!(&e, &t, "errors differ on {:?}", src)
+                        }
+                        (e, t) => prop_assert!(
+                            false,
+                            "routes disagree on {:?}: events={:?} tree={:?}",
+                            src,
+                            e.map(|f| f.num_nodes()),
+                            t.map(|f| f.num_nodes())
+                        ),
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
 }
