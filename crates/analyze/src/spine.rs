@@ -18,9 +18,10 @@
 //! pending because a base's elder/younger condition constrains the node's
 //! **siblings**, which only its parent (or the top level) can see. Nodes
 //! off the spine carry their state in the shared product `M` of all
-//! elder/younger components (Theorem 4's construction, with each component
-//! first put through [`reduce_dha`]), and the lifted per-component final
-//! DFAs decide sibling-word membership directly over `M`-states.
+//! elder/younger components (Theorem 4's construction, built by the same
+//! [`ComponentProduct`] as `CompiledPhr`: each distinct component compiled
+//! and reduced once), and the lifted per-component final DFAs decide
+//! sibling-word membership directly over `M`-states.
 //!
 //! Letter discipline: the rule languages of the spine NHA read *letters
 //! that are NHA states*, a strictly larger space than the `M`-states the
@@ -41,12 +42,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use hedgex_automata::{CharClass, Dfa, Nfa, Regex, StateId};
-use hedgex_core::mark_down::compile_to_dha;
+use hedgex_automata::{CharClass, Dfa, Nfa, StateId};
 use hedgex_core::phr::{Phr, TripletId};
+use hedgex_core::phr_compile::ComponentProduct;
 use hedgex_core::Hre;
-use hedgex_ha::product::{product_many, ManyProduct};
-use hedgex_ha::{determinize, reduce_dha, Dha, DhaBuilder, HState, Leaf, Nha};
+use hedgex_ha::{determinize, Dha, HState, Leaf, Nha};
 use hedgex_hedge::{SubId, SymId};
 use hedgex_obs as obs;
 
@@ -55,14 +55,12 @@ use hedgex_obs as obs;
 /// and the match automaton are assembled from this, so schema-specific
 /// re-padding never recompiles the components.
 pub struct Spine {
-    prod: ManyProduct,
+    comps: ComponentProduct,
     rdfa: Dfa<TripletId>,
     labels: Vec<SymId>,
-    /// Index of the content component in `prod.lifted_finals`, when a
-    /// subhedge condition was given.
+    /// Index of the content component in `comps.finals`, when a subhedge
+    /// condition was given.
     sub_idx: Option<usize>,
-    /// The content language on its own (witnesses, containment).
-    sub: Option<Dha>,
 }
 
 /// Which automaton to assemble over the spine.
@@ -114,56 +112,38 @@ fn loop_nfa(letters: Vec<HState>) -> Nfa<HState> {
 
 impl Spine {
     /// Compile every elder/younger HRE (and the subhedge, when given),
-    /// reduce each component, and take the shared product.
+    /// reduce each distinct component, and take the shared product.
     pub fn build(phr: &Phr, subhedge: Option<&Hre>) -> Spine {
         let _span = obs::span("analyze.spine");
-        let mut comps: Vec<Dha> = Vec::new();
-        for t in &phr.triplets {
-            comps.push(reduce_dha(&compile_to_dha(&t.elder)).0);
-            comps.push(reduce_dha(&compile_to_dha(&t.younger)).0);
-        }
-        let sub = subhedge.map(|e| reduce_dha(&compile_to_dha(e)).0);
-        let sub_idx = sub.as_ref().map(|_| comps.len());
-        if let Some(s) = &sub {
-            comps.push(s.clone());
-        }
-        if comps.is_empty() {
-            // A PHR without triplets matches nothing (every pointed hedge
-            // decomposes into at least one base); keep the product
-            // well-formed with one trivial component.
-            let mut b = DhaBuilder::new(1, 0);
-            b.finals(Regex::Epsilon);
-            comps.push(b.build());
-        }
-        let refs: Vec<&Dha> = comps.iter().collect();
-        let prod = product_many(&refs);
+        let comps = ComponentProduct::build(phr, subhedge, true);
+        let sub_idx = subhedge.map(|_| 2 * phr.triplets.len());
         let rdfa = Nfa::from_regex(&phr.regex).to_dfa();
         let labels = phr.triplets.iter().map(|t| t.label).collect();
         obs::event("analyze.spine", || {
             format!(
-                "components={} product_states={} regex_dfa_states={}",
-                refs.len(),
-                prod.dha.num_states(),
+                "components={} distinct_components={} product_states={} regex_dfa_states={}",
+                comps.finals.len(),
+                comps.stats.distinct_components,
+                comps.m.num_states(),
                 rdfa.num_states()
             )
         });
         Spine {
-            prod,
+            comps,
             rdfa,
             labels,
             sub_idx,
-            sub,
         }
     }
 
     /// The content language, when a subhedge condition was given.
     pub fn sub(&self) -> Option<&Dha> {
-        self.sub.as_ref()
+        self.sub_idx.map(|i| self.comps.component(i))
     }
 
     /// The query's own alphabet: product symbols plus triplet labels.
     pub fn own_symbols(&self) -> BTreeSet<SymId> {
-        let mut syms: BTreeSet<SymId> = self.prod.dha.symbols().collect();
+        let mut syms: BTreeSet<SymId> = self.comps.m.symbols().collect();
         syms.extend(self.labels.iter().copied());
         syms
     }
@@ -173,8 +153,8 @@ impl Spine {
     /// `e^z` keeps its `z`-leaf unfoldings), but no document contains one,
     /// and the analysis automata speak about documents.
     pub fn own_leaves(&self) -> BTreeSet<Leaf> {
-        self.prod
-            .dha
+        self.comps
+            .m
             .leaves()
             .filter(|l| !matches!(l, Leaf::Sub(_)))
             .collect()
@@ -209,7 +189,7 @@ impl Spine {
     /// then `H` (the `η` leaf), then `⊤`, then one state per
     /// `(regex-DFA state, pending triplet)` pair.
     fn assemble(&self, mode: &Mode) -> Nha {
-        let p = self.prod.dha.num_states();
+        let p = self.comps.m.num_states();
         let tcount = self.labels.len() as u32;
         let dcount = self.rdfa.num_states() as u32;
         let h_state = p;
@@ -222,17 +202,17 @@ impl Spine {
         // language) are dropped, so the spine automata speak about real
         // documents; `η` is re-added explicitly in envelope mode.
         let mut iota: HashMap<Leaf, Vec<HState>> = HashMap::new();
-        for leaf in self.prod.dha.leaves().collect::<Vec<_>>() {
+        for leaf in self.comps.m.leaves().collect::<Vec<_>>() {
             if matches!(leaf, Leaf::Sub(_)) {
                 continue;
             }
-            iota.entry(leaf).or_default().push(self.prod.dha.iota(leaf));
+            iota.entry(leaf).or_default().push(self.comps.m.iota(leaf));
         }
         let mut rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>> = HashMap::new();
 
         // Plain rules: off-spine trees evaluate exactly as in the product.
-        for a in self.prod.dha.symbols().collect::<Vec<_>>() {
-            let hf = self.prod.dha.horiz(a).expect("declared symbol");
+        for a in self.comps.m.symbols().collect::<Vec<_>>() {
+            let hf = self.comps.m.horiz(a).expect("declared symbol");
             let bucket = rules.entry(a).or_default();
             for q in 0..p {
                 bucket.push((explicit_nfa(&hf.inverse(q), p).to_dfa(), q));
@@ -273,7 +253,7 @@ impl Spine {
         let content: Nfa<HState> = match mode {
             Mode::Env => letter_nfa(h_state),
             Mode::Match { .. } => match self.sub_idx {
-                Some(i) => explicit_nfa(&self.prod.lifted_finals[i], p),
+                Some(i) => explicit_nfa(&self.comps.finals[i], p),
                 None => {
                     let mut admissible: Vec<HState> = (0..p).collect();
                     admissible.push(top);
@@ -294,9 +274,9 @@ impl Spine {
         // letter `(d, t)`: elder word ∈ F_{t,1}, then the spine child,
         // then younger word ∈ F_{t,2} — all over explicit letters.
         let pending = |d: StateId, t: usize| {
-            explicit_nfa(&self.prod.lifted_finals[2 * t], p)
+            explicit_nfa(&self.comps.finals[2 * t], p)
                 .concat(&letter_nfa(spine_id(d, t as u32)))
-                .concat(&explicit_nfa(&self.prod.lifted_finals[2 * t + 1], p))
+                .concat(&explicit_nfa(&self.comps.finals[2 * t + 1], p))
         };
 
         // Spine rules: a node above the spine child verifies the child's
@@ -331,7 +311,7 @@ impl Spine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hedgex_core::mark_down::mark_run;
+    use hedgex_core::mark_down::{compile_to_dha, mark_run};
     use hedgex_core::parse_hre;
     use hedgex_core::phr::parse_phr;
     use hedgex_ha::enumerate::enumerate_hedges_with_subs;

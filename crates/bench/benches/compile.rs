@@ -7,6 +7,9 @@
 //!   `(a₁⟨…⟩|…|a_w⟨…⟩)*` (the potentially exponential step);
 //! * `phr_compile/t` — Theorem 4 with t triplets (the shared product M,
 //!   the ≡ classes, and N);
+//! * `phr_compile_docbook` — Theorem 4 on the benchmark's figure-before-
+//!   table query: 4 triplets whose 8 components are only 2 distinct HREs,
+//!   the repetition real PHRs have (each distinct HRE compiles once);
 //! * `decompile/…` — Lemma 2 on the paper's M₀ (HA → HRE).
 
 use hedgex_testkit::{Bench, BenchmarkId};
@@ -68,6 +71,15 @@ fn bench_compile(c: &mut Bench) {
             )
         });
     }
+    group.bench_function("phr_compile_docbook", |b| {
+        b.iter_with_setup(
+            || {
+                let mut ab = Alphabet::new();
+                hedgex_bench::figure_before_table_phr(&mut ab)
+            },
+            |phr| std::hint::black_box(CompiledPhr::compile(&phr).m.num_states()),
+        )
+    });
     group.bench_function("decompile_m0", |b| {
         b.iter_with_setup(
             || {

@@ -3,7 +3,8 @@
 //!
 //! Three ways to answer the same corpus query:
 //!
-//! * **cold** — no store at all: every query re-parses the XML sources and
+//! * **cold** — no store at all: every query re-parses the XML sources
+//!   (through `parse_flat`, the single-pass ingest `hxq FILE` uses) and
 //!   evaluates (the "grep a directory" baseline);
 //! * **warm** — documents pre-parsed into [`FlatHedge`]s, plain two-pass
 //!   evaluation over every node of every document;
@@ -37,7 +38,8 @@ use hedgex_bench::sidebar_corpus;
 use hedgex_core::{parse_path, CompiledPath, EvalScratch, PathExpr, Plan, PlanFacts, Query};
 use hedgex_hedge::{Alphabet, FlatHedge};
 use hedgex_store::{DocumentStore, StoreQuery};
-use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
+use hedgex_stream::parse_flat;
+use hedgex_xml::{write_xml, HedgeConfig};
 
 /// Median wall time of `k` runs of `f`, in nanoseconds.
 fn median_ns(k: usize, mut f: impl FnMut()) -> f64 {
@@ -134,8 +136,7 @@ fn main() {
             let total: u64 = sources
                 .iter()
                 .map(|src| {
-                    let doc = parse_xml(src).expect("round-trip parses");
-                    let flat = FlatHedge::from_hedge(&to_hedge(&doc, &mut cold_ab, cfg));
+                    let flat = parse_flat(src, &mut cold_ab, cfg).expect("round-trip parses");
                     broad.count_into(&flat, &mut scratch)
                 })
                 .sum();

@@ -5,7 +5,10 @@
 //!   `e_{i2}` of the representation. The paper's "without loss of
 //!   generality they share `Q`, `ι`, `α`" is realized by the cross product
 //!   of the individually compiled automata (`product_many`), with each
-//!   original final set lifted to the product states.
+//!   original final set lifted to the product states. Components repeat
+//!   (a universal `u` in most sibling positions), so [`ComponentProduct`]
+//!   compiles each *distinct* HRE once and multiplies only those: a
+//!   repeated factor adds no product states, only copies of a coordinate.
 //! * `≡` — a right-invariant equivalence of finite index over `Q*`
 //!   saturating every lifted final set ([`SaturatingClasses`]): its classes
 //!   are the states of the product DFA tracking all the `F_{ij}` at once.
@@ -26,13 +29,14 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{Nfa, SaturatingClasses, StateId};
+use hedgex_automata::{Dfa, Nfa, Regex, SaturatingClasses, StateId};
 use hedgex_ha::product::product_many;
-use hedgex_ha::{determinize, reduce_dha, Dha, HState};
+use hedgex_ha::{determinize, reduce_dha, Dha, DhaBuilder, HState};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
 use crate::compile::compile_hre;
+use crate::hre::Hre;
 use crate::phr::Phr;
 
 /// A signature: the set of triplets a concrete `(C₁, a, C₂)` symbol
@@ -49,6 +53,9 @@ pub struct PhrStats {
     /// Per component: DHA states after dead-state reduction, parallel to
     /// `components`. Equal to the raw DHA size when reduction is off.
     pub reduced_components: Vec<u32>,
+    /// How many components are structurally distinct HREs — the number of
+    /// automata actually compiled and multiplied into `M`.
+    pub distinct_components: usize,
 }
 
 impl PhrStats {
@@ -150,10 +157,10 @@ impl CompiledPhr {
     }
 
     /// Compile with explicit control over dead-state reduction. Reduction
-    /// runs [`reduce_dha`] on every component between determinization and
-    /// the product: `F`-dead letters are normalized away and congruent
-    /// states merged, so states no accepting run can use never get
-    /// `class_step` rows. The reduced components compute the same
+    /// runs [`reduce_dha`] on every distinct component between
+    /// determinization and the product ([`ComponentProduct`]): `F`-dead
+    /// letters are normalized away and congruent states merged, so states
+    /// no accepting run can use never get `class_step` rows. The reduced components compute the same
     /// `sibling sequence ↦ F-membership` functions on every input, so
     /// match sets are identical either way — `compile_with(phr, false)`
     /// exists for benchmarks and property tests that verify exactly that.
@@ -163,30 +170,11 @@ impl CompiledPhr {
             "pointed hedge representations are limited to 64 triplets"
         );
         let _span = obs::span("core.phr_compile");
-        // Compile every e_i1, e_i2 and take the shared product.
-        let mut stats = PhrStats::default();
-        let dhas: Vec<Dha> = phr
-            .triplets
-            .iter()
-            .flat_map(|t| [&t.elder, &t.younger])
-            .map(|e| {
-                let nha = compile_hre(e);
-                let mut dha = determinize(&nha).dha;
-                stats.components.push((nha.num_states(), dha.num_states()));
-                if reduce {
-                    let _span = obs::span("core.phr_compile.reduce");
-                    dha = reduce_dha(&dha).0;
-                }
-                stats.reduced_components.push(dha.num_states());
-                dha
-            })
-            .collect();
-        let refs: Vec<&Dha> = dhas.iter().collect();
-        let prod = product_many(&refs);
-        let alphabet: Vec<HState> = (0..prod.dha.num_states()).collect();
+        let comps = ComponentProduct::build(phr, None, reduce);
+        let alphabet: Vec<HState> = (0..comps.m.num_states()).collect();
         let classes = {
             let _span = obs::span("core.phr_compile.classes");
-            SaturatingClasses::build(&prod.lifted_finals, &alphabet)
+            SaturatingClasses::build(&comps.finals, &alphabet)
         };
         let labels: Vec<SymId> = phr.triplets.iter().map(|t| t.label).collect();
         // N accepts the mirror of L: reverse the triplet regex, then read it
@@ -194,37 +182,36 @@ impl CompiledPhr {
         let engine = {
             let _span = obs::span("core.phr_compile.engine");
             Engine::build(
-                &prod.dha,
+                &comps.m,
                 &classes,
                 &labels,
                 Nfa::from_regex(&phr.regex).reverse(),
             )
         };
         obs::counter_inc("core.phr_compile.calls");
-        obs::counter_add(
-            "core.phr_compile.m_states",
-            u64::from(prod.dha.num_states()),
-        );
+        obs::counter_add("core.phr_compile.m_states", u64::from(comps.m.num_states()));
         obs::counter_add("core.phr_compile.eq_classes", classes.num_classes() as u64);
         obs::counter_add("core.phr_compile.n_states", engine.n_accept.len() as u64);
+        let stats = comps.stats;
         obs::counter_add("core.phr_compile.pruned_states", stats.pruned_states());
         obs::event("core.phr_compile", || {
             format!(
-                "triplets={} nha_states={} dha_states={} reduced_states={} pruned={} \
-                 m_states={} eq_classes={} n_states={} signatures={}",
+                "triplets={} distinct_components={} nha_states={} dha_states={} \
+                 reduced_states={} pruned={} m_states={} eq_classes={} n_states={} signatures={}",
                 phr.triplets.len(),
+                stats.distinct_components,
                 stats.total_nha_states(),
                 stats.total_dha_states(),
                 stats.total_reduced_states(),
                 stats.pruned_states(),
-                prod.dha.num_states(),
+                comps.m.num_states(),
                 classes.num_classes(),
                 engine.n_accept.len(),
                 engine.sigs.len()
             )
         });
         CompiledPhr {
-            m: prod.dha,
+            m: comps.m,
             classes,
             stats,
             labels,
@@ -394,6 +381,102 @@ impl CompiledPhr {
             },
             self.engine.sigs.clone(),
         )
+    }
+}
+
+/// The shared automaton `M` of a PHR's component HREs (Theorem 4's cross
+/// product), with every component's final set lifted to `M`'s states.
+///
+/// The components are the elder and younger HRE of each triplet in order,
+/// then the subhedge condition when one is given: component `2i` / `2i+1`
+/// is triplet `i`'s elder / younger, and the subhedge is the last. Each
+/// structurally distinct HRE is compiled, determinized and (optionally)
+/// reduced once, and the product is taken over the distinct automata only.
+/// Distinct automata are kept in first-occurrence order, so `M`'s state
+/// numbering is the one the product over all components would produce.
+pub struct ComponentProduct {
+    /// The product automaton (its own `F` is empty).
+    pub m: Dha,
+    /// Per component: its `F` lifted to a DFA over `M`'s states.
+    pub finals: Vec<Dfa<HState>>,
+    /// Sizes per component, plus the distinct count.
+    pub stats: PhrStats,
+    /// The distinct component automata, in first-occurrence order.
+    distinct: Vec<Dha>,
+    /// Per component: its index in `distinct`.
+    of: Vec<usize>,
+}
+
+impl ComponentProduct {
+    /// Compile the components of `phr` (and `subhedge`) and take their
+    /// shared product. `reduce` runs [`reduce_dha`] on each distinct
+    /// automaton before the product (see [`CompiledPhr::compile_with`]).
+    pub fn build(phr: &Phr, subhedge: Option<&Hre>, reduce: bool) -> ComponentProduct {
+        let hres: Vec<&Hre> = phr
+            .triplets
+            .iter()
+            .flat_map(|t| [&t.elder, &t.younger])
+            .chain(subhedge)
+            .collect();
+        // A PHR has at most 64 triplets, so a linear scan for an equal
+        // earlier HRE is cheaper than hashing the trees.
+        let mut firsts: Vec<usize> = Vec::new();
+        let of: Vec<usize> = hres
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                firsts
+                    .iter()
+                    .position(|&j| hres[j] == *e)
+                    .unwrap_or_else(|| {
+                        firsts.push(i);
+                        firsts.len() - 1
+                    })
+            })
+            .collect();
+        let mut sizes: Vec<(u32, u32, u32)> = Vec::with_capacity(firsts.len());
+        let mut distinct: Vec<Dha> = firsts
+            .iter()
+            .map(|&i| {
+                let nha = compile_hre(hres[i]);
+                let mut dha = determinize(&nha).dha;
+                let raw = dha.num_states();
+                if reduce {
+                    let _span = obs::span("core.phr_compile.reduce");
+                    dha = reduce_dha(&dha).0;
+                }
+                sizes.push((nha.num_states(), raw, dha.num_states()));
+                dha
+            })
+            .collect();
+        let stats = PhrStats {
+            components: of.iter().map(|&d| (sizes[d].0, sizes[d].1)).collect(),
+            reduced_components: of.iter().map(|&d| sizes[d].2).collect(),
+            distinct_components: distinct.len(),
+        };
+        if distinct.is_empty() {
+            // A PHR without triplets matches nothing (every pointed hedge
+            // decomposes into at least one base); keep the product
+            // well-formed with one trivial automaton.
+            let mut b = DhaBuilder::new(1, 0);
+            b.finals(Regex::Epsilon);
+            distinct.push(b.build());
+        }
+        let refs: Vec<&Dha> = distinct.iter().collect();
+        let prod = product_many(&refs);
+        let finals = of.iter().map(|&d| prod.lifted_finals[d].clone()).collect();
+        ComponentProduct {
+            m: prod.dha,
+            finals,
+            stats,
+            distinct,
+            of,
+        }
+    }
+
+    /// The compiled automaton of component `i` on its own.
+    pub fn component(&self, i: usize) -> &Dha {
+        &self.distinct[self.of[i]]
     }
 }
 

@@ -270,8 +270,9 @@ fn print_report(report: &ExplainReport) {
         eprintln!("  {:<18} {:>12.3} ms", p.name, p.wall_ns as f64 / 1e6);
     }
     eprintln!(
-        "  components: {} (NHA states {}, DHA states {}, blowup {:.2}x, pruned {})",
+        "  components: {} ({} distinct, NHA states {}, DHA states {}, blowup {:.2}x, pruned {})",
         report.components.len(),
+        report.distinct_components,
         report.nha_states,
         report.dha_states,
         report.blowup_ratio,

@@ -47,6 +47,9 @@ pub struct ExplainReport {
     pub phases: Vec<Phase>,
     /// Per-component automaton sizes (elder, younger per triplet).
     pub components: Vec<ComponentSizes>,
+    /// How many components are distinct HREs: each is compiled once and
+    /// shared by every component equal to it.
+    pub distinct_components: usize,
     /// Summed NHA states across components.
     pub nha_states: u64,
     /// Summed DHA states across components.
@@ -110,6 +113,10 @@ impl ExplainReport {
         Json::obj([
             ("phases", phases),
             ("components", components),
+            (
+                "distinct_components",
+                Json::Num(self.distinct_components as f64),
+            ),
             ("nha_states", Json::Num(self.nha_states as f64)),
             ("dha_states", Json::Num(self.dha_states as f64)),
             ("blowup_ratio", Json::Num(self.blowup_ratio)),
@@ -213,6 +220,7 @@ pub fn explain(phr: &Phr, subhedge: Option<&Hre>, doc: &FlatHedge) -> ExplainRep
                 dha_reduced: r,
             })
             .collect(),
+        distinct_components: compiled.stats.distinct_components,
         nha_states,
         dha_states,
         blowup_ratio: dha_states as f64 / nha_states.max(1) as f64,

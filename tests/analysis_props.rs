@@ -240,3 +240,104 @@ fn pruning_never_changes_match_sets() {
         },
     );
 }
+
+// ---------------------------------------------------------------------------
+// Repeated components
+// ---------------------------------------------------------------------------
+
+/// A random PHR over {a, b} whose elder and younger conditions are all
+/// drawn from three expressions, so most PHRs repeat a component (two or
+/// more triplets always do): the case where compilation shares one
+/// automaton between several components.
+fn arb_repeated_phr() -> Gen<String> {
+    const HRES: [&str; 3] = ["(a<%z>|b<%z>|$v)*^z", "ε", "b<ε>*"];
+    Gen::new(|rng| {
+        let triplets: Vec<String> = (0..rng.random_range(1..4usize))
+            .map(|_| {
+                let label = ["a", "b"][rng.random_range(0..2usize)];
+                let elder = HRES[rng.random_range(0..HRES.len())];
+                let younger = HRES[rng.random_range(0..HRES.len())];
+                format!("[{elder} ; {label} ; {younger}]")
+            })
+            .collect();
+        match rng.random_range(0..3u32) {
+            0 => format!("({})+", triplets.join("|")),
+            1 if triplets.len() > 1 => format!("{}({})*", triplets[0], triplets[1..].concat()),
+            _ => triplets.concat(),
+        }
+    })
+}
+
+/// Parse a generated PHR against the fixed {a, b, $v} alphabet.
+fn parse_repeated(src: &str) -> Phr {
+    let mut ab = Alphabet::new();
+    assert_eq!((ab.sym("a"), ab.sym("b")), (SymId(0), SymId(1)));
+    parse_phr(src, &mut ab).unwrap()
+}
+
+/// Sharing compiled components never changes an answer: with repeated
+/// elder/younger conditions, two-pass evaluation (reduced and unreduced)
+/// equals the specification, and the analyzer's satisfiability verdict
+/// and witness agree with `locate` on the same documents.
+#[test]
+fn repeated_components_agree_with_the_specification() {
+    forall(
+        "repeated_components_spec",
+        Config::with_cases(40),
+        &zip2(arb_repeated_phr(), arb_doc()),
+        |(src, doc)| {
+            let phr = parse_repeated(src);
+            let flat = FlatHedge::from_hedge(doc);
+            let expected = phr.locate_naive(&flat);
+            for reduce in [true, false] {
+                let compiled = phr_compile::CompiledPhr::compile_with(&phr, reduce);
+                prop_assert_eq!(
+                    &hedgex::core::two_pass::locate(&compiled, &flat),
+                    &expected,
+                    "reduce={reduce}"
+                );
+            }
+            let sat = AnalyzedQuery::new(&phr, None).satisfiable();
+            if !sat.satisfiable {
+                prop_assert!(expected.is_empty(), "unsatisfiable query located");
+            }
+            if let Some(w) = &sat.witness {
+                let hits = phr.locate_naive(&FlatHedge::from_hedge(w));
+                prop_assert!(!hits.is_empty(), "witness {w:?} locates nothing");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Containment verdicts between PHRs with repeated components: a positive
+/// verdict means match-set inclusion on every document, and a
+/// counterexample separates the two queries.
+#[test]
+fn repeated_components_containment_is_sound() {
+    forall(
+        "repeated_components_containment",
+        Config::with_cases(20),
+        &zip2(zip2(arb_repeated_phr(), arb_repeated_phr()), arb_doc()),
+        |((src_a, src_b), doc)| {
+            let (pa, pb) = (parse_repeated(src_a), parse_repeated(src_b));
+            let verdict =
+                AnalyzedQuery::new(&pa, None).contained_in(&AnalyzedQuery::new(&pb, None));
+            let hits = |phr: &Phr, d: &Hedge| -> BTreeSet<u32> {
+                phr.locate_naive(&FlatHedge::from_hedge(d))
+                    .into_iter()
+                    .collect()
+            };
+            if verdict.contained {
+                prop_assert!(hits(&pa, doc).is_subset(&hits(&pb, doc)));
+            }
+            if let Some(cex) = &verdict.counterexample {
+                prop_assert!(
+                    !hits(&pa, cex).is_subset(&hits(&pb, cex)),
+                    "counterexample {cex:?} does not separate the queries"
+                );
+            }
+            Ok(())
+        },
+    );
+}

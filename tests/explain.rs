@@ -26,8 +26,12 @@ fn docbook_report_is_consistent() {
         "compile cannot take zero time"
     );
 
+    // Four triplets, eight components, two distinct HREs: the universal
+    // hedge (seven times) and the younger `table<u> (u)`.
+    assert_eq!(report.components.len(), 8);
+    assert_eq!(report.distinct_components, 2);
+
     // Theorem 1 bound, per component: |DHA| ≤ 2^|NHA| (and nothing empty).
-    assert!(!report.components.is_empty());
     for c in &report.components {
         assert!(c.nha_states > 0);
         assert!(c.dha_states > 0);
@@ -114,6 +118,7 @@ fn report_json_round_trips() {
     for key in [
         "phases",
         "components",
+        "distinct_components",
         "nha_states",
         "dha_states",
         "blowup_ratio",
@@ -131,6 +136,10 @@ fn report_json_round_trips() {
     assert_eq!(
         json.get("located").and_then(Json::as_u64),
         Some(report.located as u64)
+    );
+    assert_eq!(
+        json.get("distinct_components").and_then(Json::as_u64),
+        Some(2)
     );
     assert_eq!(
         json.get("hits").and_then(Json::as_arr).map(<[Json]>::len),

@@ -513,6 +513,12 @@ fn explain_metrics_json_on_docbook_is_valid_and_consistent() {
     assert!(stderr.contains("explain:"));
     assert!(stderr.contains("compile"));
     assert!(stderr.contains("located"));
+    // The path's embedding puts the universal hedge in every sibling
+    // position: all components are one HRE, compiled once.
+    assert!(
+        stderr.contains("(1 distinct, NHA states"),
+        "stderr: {stderr}"
+    );
 
     // The JSON file parses and its fields are mutually consistent.
     let text = std::fs::read_to_string(&json_path).unwrap();
@@ -522,6 +528,10 @@ fn explain_metrics_json_on_docbook_is_valid_and_consistent() {
     assert!(nha > 0);
     let blowup = report.get("blowup_ratio").and_then(Json::as_f64).unwrap();
     assert!((blowup - dha as f64 / nha as f64).abs() < 1e-9);
+    assert_eq!(
+        report.get("distinct_components").and_then(Json::as_u64),
+        Some(1)
+    );
     for c in report.get("components").and_then(Json::as_arr).unwrap() {
         let n = c.get("nha_states").and_then(Json::as_u64).unwrap();
         let d = c.get("dha_states").and_then(Json::as_u64).unwrap();

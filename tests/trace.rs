@@ -205,3 +205,30 @@ fn parse_flat_records_one_ingest_span_with_byte_and_node_counts() {
     assert_eq!(obs::counter_value("xml.ingest.bytes"), src.len() as u64);
     assert_eq!(obs::counter_value("xml.ingest.nodes"), 5);
 }
+
+/// PHR compilation builds one automaton per *distinct* component HRE. The
+/// benchmark query has 4 triplets (8 components) but only 2 distinct
+/// HREs; a PHR whose components all differ still compiles each one.
+#[test]
+fn phr_compile_builds_each_distinct_component_once() {
+    if !obs::is_enabled() {
+        return;
+    }
+    let _g = lock();
+    let mut ab = Alphabet::new();
+    let shared = figure_before_table_phr(&mut ab);
+    let distinct = parse_phr("[a ; b ; ε][b ; a ; a b]", &mut ab).unwrap();
+    for (phr, components, compiled) in [(&shared, 8, 2), (&distinct, 4, 4)] {
+        obs::reset();
+        let c = CompiledPhr::compile(phr);
+        assert_eq!(c.stats.components.len(), components);
+        assert_eq!(c.stats.distinct_components, compiled);
+        for counter in [
+            "core.compile.calls",
+            "ha.determinize.calls",
+            "ha.reduce.calls",
+        ] {
+            assert_eq!(obs::counter_value(counter), compiled as u64, "{counter}");
+        }
+    }
+}
